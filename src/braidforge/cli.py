@@ -79,12 +79,16 @@ def _complex_for(args) -> CubeComplex:
     return CubeComplex(og, args.particles)
 
 
+def _signed_indices(word) -> list:
+    """A word of signed 1-based letters as [[0-based index, sign], ...]."""
+    return [[abs(x) - 1, 1 if x > 0 else -1] for x in word]
+
+
 def _presentation_payload(mp, manifest, og) -> dict:
     return {
         "manifest": manifest,
         "generators": [str(c) for c in mp.generators],
-        "relators": [[[abs(x) - 1, 1 if x > 0 else -1] for x in w]
-                     for w, _ in mp.relators],
+        "relators": [_signed_indices(w) for w, _ in mp.relators],
         "relator_sources": [str(src) for _, src in mp.relators],
         "tree_conditions": check_tree_conditions(og).as_dict(),
     }
@@ -94,8 +98,7 @@ def _fp_payload(fp: FPGroup, manifest) -> dict:
     return {
         "manifest": manifest,
         "generators": list(fp.generators),
-        "relators": [[[abs(x) - 1, 1 if x > 0 else -1] for x in w]
-                     for w in fp.relators],
+        "relators": [_signed_indices(w) for w in fp.relators],
         "relator_sources": [p for p in fp.provenance],
     }
 
@@ -105,9 +108,20 @@ def _load_fp(path: str) -> FPGroup:
         data = json.loads(Path(path).read_text())
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read presentation {path}: {exc}")
+    for key in ("generators", "relators"):
+        if not isinstance(data, dict) or not isinstance(data.get(key), list):
+            raise ValidationError(f"presentation {path} has no {key!r} list")
     gens = tuple(data["generators"])
-    rels = tuple(tuple((i + 1) * s for i, s in w) for w in data["relators"])
-    return FPGroup(gens, rels)
+    rels = []
+    for r, word in enumerate(data["relators"]):
+        for letter in word if isinstance(word, list) else [word]:
+            if (not isinstance(letter, list) or len(letter) != 2
+                    or letter[0] not in range(len(gens)) or letter[1] not in (1, -1)):
+                raise ValidationError(
+                    f"presentation {path}: relator {r} has letter {letter!r}; "
+                    f"letters are [generator index 0..{len(gens) - 1}, +1 or -1]")
+        rels.append(tuple((i + 1) * s for i, s in word))
+    return FPGroup(gens, tuple(rels))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +231,12 @@ def _parse_loops_file(path: str):
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read loops file {path}: {exc}")
     specs = []
-    for item in data.get("loops", []):
+    for index, item in enumerate(data.get("loops", [])):
         kind = item.get("type")
+        required = {"Y": ("k", "m", "n"), "O": ("cycle",)}.get(kind, ())
+        missing = [key for key in required if key not in item]
+        if missing:
+            raise ValidationError(f"loop {index} ({kind}) has no {missing[0]!r}")
         spect = tuple(int(v) for v in item.get("spectators", []))
         if kind == "Y":
             specs.append(YLoopSpec(int(item["k"]), int(item["m"]),
@@ -249,10 +267,8 @@ def cmd_physical(args):
         "loops": [{"name": lg.name, "kind": lg.kind,
                    "image": [[nm, s] for nm, s in lg.image]}
                   for lg in pp.loops],
-        "dictionary": [[nm, [[abs(x) - 1, 1 if x > 0 else -1] for x in wd]]
-                       for nm, wd in pp.dictionary],
-        "relators": [{"origin": origin,
-                      "word": [[abs(x) - 1, 1 if x > 0 else -1] for x in wd]}
+        "dictionary": [[nm, _signed_indices(wd)] for nm, wd in pp.dictionary],
+        "relators": [{"origin": origin, "word": _signed_indices(wd)}
                      for origin, wd in pp.relators],
         "generators": pp.loop_names,
         "h1": str(h1),
@@ -454,6 +470,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "particles", 1) < 1:
+            raise ValidationError(f"-n/--particles must be at least 1, got {args.particles}")
         return args.fn(args)
     except ValidationError as exc:
         print(f"braidforge: validation error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .cells import Cell, CubeComplex, letter_endpoints
 from .errors import ValidationError
 from .presentation import FPGroup
+from .words import free_reduce
 
 
 @dataclass
@@ -65,20 +66,11 @@ def skeleton_presentation(cx: CubeComplex) -> SkeletonPresentation:
     relators = []
     provenance = []
     for tau in two:
-        word = []
-        for cell, sign in cx.boundary_word(tau):
-            if cell in tree_cells:
-                continue
-            word.append(sign * index[cell])
         # free reduction only; these are raw boundary relators
-        reduced: list[int] = []
-        for x in word:
-            if reduced and reduced[-1] == -x:
-                reduced.pop()
-            else:
-                reduced.append(x)
+        reduced = free_reduce(sign * index[cell] for cell, sign in cx.boundary_word(tau)
+                              if cell not in tree_cells)
         if reduced:
-            relators.append(tuple(reduced))
+            relators.append(reduced)
             provenance.append(str(tau))
 
     group = FPGroup(tuple(str(c) for c in generator_cells),

@@ -146,165 +146,81 @@ class SNF:
 def smith_normal_form(matrix) -> SNF:
     """Exact integer Smith normal form with transforms, U A V = D.
 
-    Runs on checked int64 arithmetic first (entries are watched against an
-    overflow budget) and falls back to arbitrary-precision Python integers
-    when the budget would be exceeded."""
-    try:
-        return _snf_numpy(matrix)
-    except _EntryOverflow:
-        return _snf_python(matrix)
-
-
-class _EntryOverflow(Exception):
-    pass
-
-
-def _snf_numpy(matrix) -> SNF:
-    import numpy as np
-
-    try:
-        a = np.array([list(map(int, row)) for row in matrix], dtype=np.int64)
-    except OverflowError:
-        raise _EntryOverflow
+    Sparse elimination on Python integers (after Dumas, Saunders & Villard,
+    JSC 2001): the pivot is a live entry of least absolute value, ties going
+    to the least fill (row count - 1) * (column count - 1).  Floor-quotient
+    row and column operations clear its column and row; a smaller remainder
+    becomes the next pivot.  A lone pivot that does not divide some live
+    entry takes that entry's row in; otherwise it retires.  Every later
+    entry is a combination of entries it divides, so the retired pivots
+    form the divisor chain d1 | d2 | ..."""
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    a = a.reshape(m, n)
-    u = np.eye(m, dtype=np.int64)
-    v = np.eye(n, dtype=np.int64)
-    budget = 2**60
+    rows = {i: {j: int(x) for j, x in enumerate(row) if x}
+            for i, row in enumerate(matrix)}
+    cols: dict[int, set[int]] = {j: set() for j in range(n)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    u = [{i: 1} for i in range(m)]    # U by rows
+    v = [{j: 1} for j in range(n)]    # V by columns
 
-    def guard(*values):
-        if any(abs(int(x)) > budget for x in values):
-            raise _EntryOverflow
+    def put(i, j, x):
+        if x:
+            rows[i][j] = x
+            cols[j].add(i)
+        else:
+            rows[i].pop(j, None)
+            cols[j].discard(i)
 
-    t = 0
-    while t < min(m, n):
-        block = a[t:, t:]
-        nz = np.nonzero(block)
-        if len(nz[0]) == 0:
-            break
-        flat = np.abs(block[nz])
-        k = int(np.argmin(flat))
-        pi, pj = int(nz[0][k]) + t, int(nz[1][k]) + t
-        a[[t, pi]] = a[[pi, t]]
-        u[[t, pi]] = u[[pi, t]]
-        a[:, [t, pj]] = a[:, [pj, t]]
-        v[:, [t, pj]] = v[:, [pj, t]]
+    def add_row(dst, src, k):         # row dst += k * row src, in A and U
+        for j, x in list(rows[src].items()):
+            put(dst, j, rows[dst].get(j, 0) + k * x)
+        _axpy(u[dst], u[src], k)
 
-        pivot = int(a[t, t])
-        col = a[t + 1:, t]
-        row = a[t, t + 1:]
-        done = True
-        if col.any():
-            q = col // pivot
-            guard(int(np.abs(q).max(initial=0)) * max(int(np.abs(a).max()), int(np.abs(u).max())))
-            a[t + 1:, :] -= q[:, None] * a[t, :]
-            u[t + 1:, :] -= q[:, None] * u[t, :]
-            if a[t + 1:, t].any():
-                done = False
-        if row.any():
-            q = a[t, t + 1:] // pivot
-            guard(int(np.abs(q).max(initial=0)) * max(int(np.abs(a).max()), int(np.abs(v).max())))
-            a[:, t + 1:] -= a[:, t][:, None] * q[None, :]
-            v[:, t + 1:] -= v[:, t][:, None] * q[None, :]
-            if a[t, t + 1:].any():
-                done = False
-        guard(int(np.abs(a).max(initial=0)), int(np.abs(u).max(initial=0)),
-              int(np.abs(v).max(initial=0)))
-        if not done:
+    def add_col(dst, src, k):         # column dst += k * column src, in A and V
+        for i in list(cols[src]):
+            put(i, dst, rows[i].get(dst, 0) + k * rows[i][src])
+        _axpy(v[dst], v[src], k)
+
+    pivots = []
+    while any(rows.values()):
+        _, r, c = min(((abs(x), (len(row) - 1) * (len(cols[j]) - 1)), i, j)
+                      for i, row in rows.items() for j, x in row.items())
+        p = rows[r][c]
+        for i in list(cols[c] - {r}):
+            add_row(i, r, -(rows[i][c] // p))
+        for j in list(rows[r].keys() - {c}):
+            add_col(j, c, -(rows[r][j] // p))
+        if len(rows[r]) > 1 or len(cols[c]) > 1:
             continue
-        rest = a[t + 1:, t + 1:]
-        if rest.size and (rest % pivot).any():
-            bad = int(np.nonzero((rest % pivot).any(axis=1))[0][0]) + t + 1
-            a[t, :] += a[bad, :]
-            u[t, :] += u[bad, :]
+        bad = None if abs(p) == 1 else next(
+            (i for i, row in rows.items() if any(x % p for x in row.values())), None)
+        if bad is not None:
+            add_row(r, bad, 1)
             continue
-        if a[t, t] < 0:
-            a[t, :] = -a[t, :]
-            u[t, :] = -u[t, :]
-        t += 1
+        if p < 0:
+            u[r] = {j: -x for j, x in u[r].items()}
+        pivots.append((r, c, abs(p)))
+        del rows[r], cols[c]
 
-    diag = tuple(int(a[i, i]) for i in range(min(m, n)) if a[i, i] != 0)
-    return SNF(diag, len(diag),
-               tuple(tuple(int(x) for x in r) for r in u),
-               tuple(tuple(int(x) for x in r) for r in v))
+    row_order = [r for r, _, _ in pivots]
+    row_order += sorted(set(range(m)) - set(row_order))
+    col_order = [c for _, c, _ in pivots]
+    col_order += sorted(set(range(n)) - set(col_order))
+    return SNF(tuple(d for _, _, d in pivots), len(pivots),
+               tuple(tuple(u[i].get(j, 0) for j in range(m)) for i in row_order),
+               tuple(tuple(v[j].get(i, 0) for j in col_order) for i in range(n)))
 
 
-def _snf_python(matrix) -> SNF:
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):
-        a[dst] = [x + k * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, k):
-        for row in a:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero absolute value in the remaining block
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        done = True
-        for i in range(t + 1, m):
-            if a[i][t] != 0:
-                add_row(i, t, -(a[i][t] // a[t][t]))
-                if a[i][t] != 0:
-                    done = False
-        for j in range(t + 1, n):
-            if a[t][j] != 0:
-                add_col(j, t, -(a[t][j] // a[t][t]))
-                if a[t][j] != 0:
-                    done = False
-        if not done:
-            continue
-        # force divisibility of the rest of the block by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(min(m, n)) if a[i][i] != 0)
-    return SNF(diag, len(diag),
-               tuple(tuple(r) for r in u), tuple(tuple(r) for r in v))
+def _axpy(dst: dict, src: dict, k: int):
+    """dst += k * src on sparse vectors."""
+    for key, x in src.items():
+        y = dst.get(key, 0) + k * x
+        if y:
+            dst[key] = y
+        else:
+            del dst[key]
 
 
 def in_row_lattice(matrix, vector) -> bool:

@@ -9,7 +9,6 @@ retraction after every step, restarted from seeded Haar-random points.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,37 +175,17 @@ def _solve_one(p: FPGroup, k: int, seed: int, opts: SolveOptions):
     return mats, _loss_and_grads(p.relators, mats, k)[0]
 
 
-def worker_count() -> int:
-    cap = os.environ.get("BRAIDFORGE_THREADS")
-    if cap is None:
-        return 1
-    return max(1, int(cap))
-
-
 def solve_representation(p: FPGroup, k: int, seed: int = 0,
                          opts: SolveOptions | None = None) -> SolveOutcome:
     """Best-of-restarts local minimization; deterministic in `seed`.
 
-    Restarts are independent (restart i uses seed + i) and may run on a
-    thread pool capped by BRAIDFORGE_THREADS; results merge by best residual
-    with ties broken by restart index, so parallelism cannot change the
-    answer."""
+    Restart i uses seed + i; the best residual wins, ties going to the lower
+    restart index."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     opts = opts or SolveOptions()
     restart_seeds = [seed + i for i in range(opts.restarts)]
-
-    def run(i):
-        return i, _solve_one(p, k, restart_seeds[i], opts)
-
-    workers = worker_count()
-    results = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(opts.restarts)))
-    else:
-        results = [run(i) for i in range(opts.restarts)]
+    results = [(i, _solve_one(p, k, s, opts)) for i, s in enumerate(restart_seeds)]
     best_i, (best_mats, best_loss) = min(results, key=lambda t: (t[1][1], t[0]))
 
     assignment = UnitaryAssignment(

@@ -8,13 +8,9 @@ THETA = str(fixture_path("theta"))
 PATHG = str(fixture_path("path"))
 
 
-def run_cli(*argv, env=None):
-    import os
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "braidforge.cli", *argv],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True)
 
 
 def test_present_theta_n2_text():
@@ -181,12 +177,46 @@ def test_rep_solve_and_verify(tmp_path):
     assert "FAIL" in r4.stdout
 
 
-def test_rep_solve_determinism_with_threads(tmp_path):
+def test_rep_solve_deterministic(tmp_path):
     pres = tmp_path / "minimal.json"
     run_cli("minimal", THETA, "-n", "4", "--json", str(pres))
-    a = run_cli("rep-solve", str(pres), "-k", "2", "--seed", "3",
-                "--restarts", "4", "--json")
-    b = run_cli("rep-solve", str(pres), "-k", "2", "--seed", "3",
-                "--restarts", "4", "--json", env={"BRAIDFORGE_THREADS": "2"})
+    a, b = (run_cli("rep-solve", str(pres), "-k", "2", "--seed", "3",
+                    "--restarts", "4", "--json") for _ in range(2))
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_particles_below_one_exit_2():
+    r = run_cli("present", THETA, "-n", "0")
+    assert r.returncode == 2
+    assert "-n/--particles" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_malformed_presentation_exit_2(tmp_path):
+    cases = {
+        "nogen.json": ({"relators": []}, "'generators'"),
+        "norel.json": ({"generators": ["a"]}, "'relators'"),
+        "range.json": ({"generators": ["a"], "relators": [[[4, 1]]]},
+                       "relator 0 has letter [4, 1]"),
+        "flat.json": ({"generators": ["a"], "relators": [[[0, 1]], 5]},
+                      "relator 1 has letter 5"),
+    }
+    for name, (data, culprit) in cases.items():
+        pres = tmp_path / name
+        pres.write_text(json.dumps(data))
+        r = run_cli("rep-solve", str(pres), "-k", "2")
+        assert r.returncode == 2, name
+        assert culprit in r.stderr, name
+        assert "Traceback" not in r.stderr, name
+
+
+def test_loop_without_required_key_exit_2(tmp_path):
+    loops = tmp_path / "nok.json"
+    loops.write_text(json.dumps({"loops": [
+        {"type": "O", "cycle": [1, 2, 3, 4, 5, 6, 7, 8], "spectators": [9]},
+        {"type": "Y", "m": 6, "n": 9, "spectators": [1]}]}))
+    r = run_cli("physical", THETA, "-n", "2", "--loops", str(loops))
+    assert r.returncode == 2
+    assert "loop 1 (Y) has no 'k'" in r.stderr
+    assert "Traceback" not in r.stderr

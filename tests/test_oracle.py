@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 
 import braidforge as bf
 from braidforge.oracle import skeleton_presentation
-from braidforge.presentation import homology_h1
+from braidforge.presentation import HomologyClass, homology_h1
 
-from helpers import complex_for, graph
+from helpers import complete_bipartite_33, complete_graph, complex_for, graph
 
 
-def _pipeline(name, n):
+def _pipeline(g, n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g = bf.subdivide_for(graph(name), n)
-        og = bf.ordered(g)
+        og = bf.ordered(bf.subdivide_for(g, n))
     return bf.CubeComplex(og, n)
 
 
@@ -38,20 +37,23 @@ def test_project_drops_tree_letters():
 
 
 def test_oracle_matches_morse_homology_everywhere():
-    for name in ("theta", "y", "path", "lasso"):
-        for n in range(1, 5):
-            cx = _pipeline(name, n)
-            h_morse = homology_h1(bf.from_morse(bf.morse_presentation(cx)))
-            h_oracle = homology_h1(skeleton_presentation(cx).group)
-            assert h_morse == h_oracle, (name, n)
+    cases = [(name, graph(name), n, None)
+             for name in ("theta", "y", "path", "lasso") for n in range(1, 5)]
+    # larger and non-planar inputs, with their known first homology
+    cases += [("theta", graph("theta"), 5, HomologyClass(3, ())),
+              ("K5", complete_graph(5), 3, HomologyClass(6, (2,))),
+              ("K33", complete_bipartite_33(), 3, HomologyClass(4, (2,)))]
+    for name, g, n, expected in cases:
+        cx = _pipeline(g, n)
+        h_morse = homology_h1(bf.from_morse(bf.morse_presentation(cx)))
+        h_oracle = homology_h1(skeleton_presentation(cx).group)
+        assert h_morse == h_oracle, (name, n)
+        assert expected in (None, h_oracle), (name, n)
 
 
 def test_two_particles_on_nonplanar_graphs():
     # two classical benchmarks: the 2-particle spaces of K_5 and K_{3,3} are
     # closed nonorientable surfaces, so the first homology carries one Z_2
-    from braidforge.presentation import HomologyClass
-    from helpers import complete_bipartite_33, complete_graph
-
     k5 = complete_graph(5)
     assert bf.check_subdivision(k5, 2).ok()     # no subdivision needed
     cx = bf.CubeComplex(bf.ordered(k5), 2)

@@ -1,5 +1,8 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import braidforge as bf
@@ -75,12 +78,38 @@ small_matrices = st.lists(
     min_size=1, max_size=4).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
+def _det(a):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, x in enumerate(a[0]) if x)
+
+
+def _determinantal_diagonal(rows):
+    """Invariant factors d_k / d_(k-1), where d_k is the gcd of all k x k
+    minors: independent of any elimination order."""
+    m, n = len(rows), len(rows[0])
+    out, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                g = gcd(g, _det([[rows[i][j] for j in ci] for i in ri]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return tuple(out)
+
+
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_snf_transforms_and_divisibility(rows):
     snf = smith_normal_form(rows)
-    d = _matmul(_matmul([list(r) for r in snf.row_transform], rows),
-                [list(r) for r in snf.col_transform])
+    u = [list(r) for r in snf.row_transform]
+    v = [list(r) for r in snf.col_transform]
+    d = _matmul(_matmul(u, rows), v)
     for i, row in enumerate(d):
         for j, x in enumerate(row):
             if i == j and i < len(snf.diagonal):
@@ -89,6 +118,9 @@ def test_snf_transforms_and_divisibility(rows):
                 assert x == 0
     for a, b in zip(snf.diagonal, snf.diagonal[1:]):
         assert b % a == 0
+    # unimodular transforms make U A V = D a certificate
+    assert _det(u) in (1, -1)
+    assert _det(v) in (1, -1)
 
 
 @given(small_matrices, st.randoms(use_true_random=False))
@@ -104,18 +136,11 @@ def test_snf_invariant_under_permutation(rows, rnd):
 
 
 @given(small_matrices)
+@example([[2, 0], [0, 3]])
+@example([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
 @settings(max_examples=60, deadline=None)
-def test_snf_python_fallback_agrees(rows):
-    from braidforge.presentation import _snf_python
-    fast = smith_normal_form(rows)
-    slow = _snf_python(rows)
-    assert fast.diagonal == slow.diagonal
-    d = _matmul(_matmul([list(r) for r in slow.row_transform], rows),
-                [list(r) for r in slow.col_transform])
-    for i, row in enumerate(d):
-        for j, x in enumerate(row):
-            expected = slow.diagonal[i] if i == j and i < len(slow.diagonal) else 0
-            assert x == expected
+def test_snf_diagonal_matches_determinantal_divisors(rows):
+    assert smith_normal_form(rows).diagonal == _determinantal_diagonal(rows)
 
 
 def test_snf_huge_entries_use_bignum_fallback():

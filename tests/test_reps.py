@@ -188,16 +188,6 @@ def test_solver_deterministic():
         assert np.array_equal(a.assignment.matrices[g], b.assignment.matrices[g])
 
 
-def test_solver_thread_cap_same_result(monkeypatch):
-    fp = theta4_group()
-    a = bf.solve_representation(fp, 2, seed=2, opts=SolveOptions(restarts=4))
-    monkeypatch.setenv("BRAIDFORGE_THREADS", "3")
-    b = bf.solve_representation(fp, 2, seed=2, opts=SolveOptions(restarts=4))
-    assert a.restart == b.restart
-    for g in fp.generators:
-        assert np.array_equal(a.assignment.matrices[g], b.assignment.matrices[g])
-
-
 def test_solver_reports_failure_honestly():
     # relator a = 1 and the relator forcing a to a reflection cannot both
     # hold; give the solver almost no iterations so it must give up
