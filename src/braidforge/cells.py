@@ -101,6 +101,8 @@ class CubeComplex:
         self.og = og
         self.n = n
         self._classify_cache: dict[Cell, MorseClass] = {}
+        # redundant 1-cell -> its image under the Morse flow (morse.rewrite_word)
+        self.flow_cache: dict[Cell, CellWord] = {}
 
     # -- basic predicates ---------------------------------------------------
 
@@ -188,11 +190,7 @@ class CubeComplex:
         cls = self.classify(cell)
         if cls.kind != REDUNDANT:
             raise MatchingError(f"matching image requested for {cls.kind} cell {cell}")
-        v = self.lowest_unblocked(cell)
-        if v is None:
-            raise MatchingError(f"redundant cell {cell} has no unblocked vertex")
-        return Cell(cell.edges + (self.og.parent_edge(v),),
-                    tuple(u for u in cell.vertices if u != v))
+        return cls.partner
 
     def classify(self, cell: Cell) -> MorseClass:
         got = self._classify_cache.get(cell)

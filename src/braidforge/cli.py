@@ -74,9 +74,27 @@ def _load_graph(path: str) -> Graph:
 
 
 def _complex_for(args) -> CubeComplex:
-    g = _load_graph(args.graph)
-    og = ordered(g)
-    return CubeComplex(og, args.particles)
+    return CubeComplex(ordered(_load_graph(args.graph)), args.particles)
+
+
+def _morse_for(args):
+    """The complex of the graph file and its Morse presentation."""
+    cx = _complex_for(args)
+    return cx, morse_presentation(cx, max_steps=args.max_steps)
+
+
+def _physical_for(args):
+    """The physical presentation over the loops file, and H1."""
+    cx, mp = _morse_for(args)
+    minimized, h1 = minimize_morse(cx.og, mp)
+    specs = _parse_loops_file(args.loops)
+    return solve_physical_presentation(cx, minimized, specs, mp,
+                                       max_steps=args.max_steps), h1
+
+
+def _graph_manifest(args, command: str, inputs=("graph",)) -> dict:
+    return _manifest(command, {name: Path(getattr(args, name)) for name in inputs},
+                     {"particles": args.particles, "max_steps": args.max_steps})
 
 
 def _signed_indices(word) -> list:
@@ -160,26 +178,17 @@ def cmd_cells(args):
 
 
 def cmd_present(args):
-    g = _load_graph(args.graph)
-    og = ordered(g)
-    cx = CubeComplex(og, args.particles)
-    mp = morse_presentation(cx, max_steps=args.max_steps)
-    manifest = _manifest("present", {"graph": Path(args.graph)},
-                         {"particles": args.particles, "max_steps": args.max_steps})
-    _emit(args, str(mp), _presentation_payload(mp, manifest, og))
+    cx, mp = _morse_for(args)
+    _emit(args, str(mp),
+          _presentation_payload(mp, _graph_manifest(args, "present"), cx.og))
     return 0
 
 
 def cmd_minimal(args):
-    g = _load_graph(args.graph)
-    og = ordered(g)
-    cx = CubeComplex(og, args.particles)
-    mp = morse_presentation(cx, max_steps=args.max_steps)
-    result, h1 = minimize_morse(og, mp)
+    cx, mp = _morse_for(args)
+    result, h1 = minimize_morse(cx.og, mp)
     fp = result.group
-    manifest = _manifest("minimal", {"graph": Path(args.graph)},
-                         {"particles": args.particles, "max_steps": args.max_steps})
-    payload = _fp_payload(fp, manifest)
+    payload = _fp_payload(fp, _graph_manifest(args, "minimal"))
     payload["h1"] = str(h1)
     payload["target_generators"] = result.target
     payload["target_reached"] = result.reached
@@ -188,7 +197,7 @@ def cmd_minimal(args):
          "relator": [[nm, s] for nm, s in e.relator],
          "expression": [[nm, s] for nm, s in e.expression]}
         for e in result.eliminations]
-    payload["tree_conditions"] = check_tree_conditions(og).as_dict()
+    payload["tree_conditions"] = check_tree_conditions(cx.og).as_dict()
     lines = [str(fp),
              f"H1 = {h1}",
              f"target {result.target} generators: "
@@ -198,14 +207,9 @@ def cmd_minimal(args):
 
 
 def cmd_h1(args):
-    g = _load_graph(args.graph)
-    og = ordered(g)
-    cx = CubeComplex(og, args.particles)
-    mp = morse_presentation(cx, max_steps=args.max_steps)
+    _, mp = _morse_for(args)
     h1 = homology_h1(from_morse(mp), warn_unexpected_torsion=True)
-    manifest = _manifest("h1", {"graph": Path(args.graph)},
-                         {"particles": args.particles, "max_steps": args.max_steps})
-    payload = {"manifest": manifest, "free_rank": h1.free_rank,
+    payload = {"manifest": _graph_manifest(args, "h1"), "free_rank": h1.free_rank,
                "torsion": list(h1.torsion), "pretty": str(h1)}
     _emit(args, str(h1), payload)
     return 0
@@ -225,45 +229,56 @@ def cmd_oracle(args):
     return 0
 
 
+def _loop_ids(item: dict, index: int, key: str):
+    """A vertex id, or for 'cycle' and 'spectators' a tuple of them."""
+    value = item.get(key, [])
+    many = key in ("cycle", "spectators")
+    try:
+        if not many:
+            return int(value)
+        if isinstance(value, list):
+            return tuple(int(v) for v in value)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(
+        f"loop {index} ({item['type']}) has {key!r} = {value!r}; expected "
+        + ("a list of vertex ids" if many else "a vertex id"))
+
+
 def _parse_loops_file(path: str):
     try:
         data = json.loads(Path(path).read_text())
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read loops file {path}: {exc}")
+    loops = data.get("loops", []) if isinstance(data, dict) else None
+    if not isinstance(loops, list):
+        raise ValidationError(f"loops file {path} is not an object with a 'loops' list")
     specs = []
-    for index, item in enumerate(data.get("loops", [])):
+    for index, item in enumerate(loops):
+        if not isinstance(item, dict):
+            raise ValidationError(f"loop {index} is not an object: {item!r}")
         kind = item.get("type")
-        required = {"Y": ("k", "m", "n"), "O": ("cycle",)}.get(kind, ())
+        required = {"Y": ("k", "m", "n"), "O": ("cycle",)}.get(kind)
+        if required is None:
+            raise ValidationError(f"unknown loop type {kind!r}")
         missing = [key for key in required if key not in item]
         if missing:
             raise ValidationError(f"loop {index} ({kind}) has no {missing[0]!r}")
-        spect = tuple(int(v) for v in item.get("spectators", []))
+        spect = _loop_ids(item, index, "spectators")
         if kind == "Y":
-            specs.append(YLoopSpec(int(item["k"]), int(item["m"]),
-                                   int(item["n"]), spect))
-        elif kind == "O":
-            specs.append(OLoopSpec(tuple(int(v) for v in item["cycle"]), spect))
+            specs.append(YLoopSpec(*(_loop_ids(item, index, key) for key in required),
+                                   spect))
         else:
-            raise ValidationError(f"unknown loop type {kind!r}")
+            specs.append(OLoopSpec(_loop_ids(item, index, "cycle"), spect))
     if not specs:
         raise ValidationError("loops file declares no loops")
     return specs
 
 
 def cmd_physical(args):
-    g = _load_graph(args.graph)
-    og = ordered(g)
-    cx = CubeComplex(og, args.particles)
-    mp = morse_presentation(cx, max_steps=args.max_steps)
-    minimized, h1 = minimize_morse(og, mp)
-    specs = _parse_loops_file(args.loops)
-    pp = solve_physical_presentation(cx, minimized, specs, mp,
-                                     max_steps=args.max_steps)
-    manifest = _manifest("physical",
-                         {"graph": Path(args.graph), "loops": Path(args.loops)},
-                         {"particles": args.particles, "max_steps": args.max_steps})
+    pp, h1 = _physical_for(args)
     payload = {
-        "manifest": manifest,
+        "manifest": _graph_manifest(args, "physical", ("graph", "loops")),
         "loops": [{"name": lg.name, "kind": lg.kind,
                    "image": [[nm, s] for nm, s in lg.image]}
                   for lg in pp.loops],
@@ -285,9 +300,7 @@ def cmd_physical(args):
 
 
 def cmd_stabilize(args):
-    g = _load_graph(args.graph)
-    og = ordered(g)
-    report = stability_report(og, args.n_from, args.n_to)
+    report = stability_report(ordered(_load_graph(args.graph)), args.n_from, args.n_to)
     manifest = _manifest("stabilize", {"graph": Path(args.graph)},
                          {"from": args.n_from, "to": args.n_to})
     payload = {
@@ -351,20 +364,10 @@ def cmd_rep_solve(args):
 
 
 def cmd_locally_abelian(args):
-    g = _load_graph(args.graph)
-    og = ordered(g)
-    cx = CubeComplex(og, args.particles)
-    mp = morse_presentation(cx, max_steps=args.max_steps)
-    minimized, _ = minimize_morse(og, mp)
-    specs = _parse_loops_file(args.loops)
-    pp = solve_physical_presentation(cx, minimized, specs, mp,
-                                     max_steps=args.max_steps)
+    pp, _ = _physical_for(args)
     ansatz = locally_abelian_solve(pp)
-    manifest = _manifest("locally-abelian",
-                         {"graph": Path(args.graph), "loops": Path(args.loops)},
-                         {"particles": args.particles, "max_steps": args.max_steps})
     payload = {
-        "manifest": manifest,
+        "manifest": _graph_manifest(args, "locally-abelian", ("graph", "loops")),
         "phase_generators": ansatz.phase_generators,
         "free_unitaries": ansatz.free_unitaries,
         "constraints": [list(c.coefficients) for c in ansatz.constraints],
@@ -408,7 +411,7 @@ def build_parser() -> _Parser:
         p.add_argument("-n", "--particles", type=int, required=True)
         if with_steps:
             p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
-                           help="rewrite step bound")
+                           help="bound on the flow expansions of one rewrite")
         p.add_argument("--json", nargs="?", const="-", default=None,
                        metavar="PATH", help="emit machine JSON (to PATH, or "
                        "stdout when no path is given)")

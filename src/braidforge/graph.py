@@ -57,9 +57,6 @@ class Graph:
     def tree_degree(self, v: int) -> int:
         return sum(1 for e in self.tree_edges if v in e)
 
-    def tree_neighbors(self, v: int) -> list[int]:
-        return sorted(a if b == v else b for a, b in self.tree_edges if v in (a, b))
-
     def essential_vertices(self) -> list[int]:
         return [v for v in self.vertices if self.degree(v) != 2]
 
@@ -73,6 +70,22 @@ class Graph:
         if self.rotation is not None:
             d["rotation"] = {str(v): list(nbrs) for v, nbrs in sorted(self.rotation.items())}
         return d
+
+
+def _reachable(start: int, edges, avoid: int | None = None) -> set[int]:
+    """Vertices reached from `start` along `edges` without entering `avoid`."""
+    adj: dict[int, set[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w != avoid and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def parse_graph(data: dict) -> Graph:
@@ -104,39 +117,12 @@ def parse_graph(data: dict) -> Graph:
     if len(tree) != len(set(tree)):
         raise GraphFormatError("duplicate tree edges")
 
-    # connectivity of the whole graph
-    if vertices:
-        seen = {vertices[0]}
-        stack = [vertices[0]]
-        adj: dict[int, set[int]] = {v: set() for v in vertices}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vset:
-            raise GraphFormatError("multiple components")
-
+    if vertices and _reachable(vertices[0], edges) != vset:
+        raise GraphFormatError("multiple components")
     # tree must span and be acyclic
     if len(tree) != len(vertices) - 1:
         raise GraphFormatError("non-spanning tree set (wrong edge count)")
-    tadj: dict[int, set[int]] = {v: set() for v in vertices}
-    for a, b in tree:
-        tadj[a].add(b)
-        tadj[b].add(a)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        u = stack.pop()
-        for w in tadj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if seen != vset:
+    if _reachable(vertices[0], tree) != vset:
         raise GraphFormatError("non-spanning tree set")
 
     root = data.get("root")
@@ -146,7 +132,10 @@ def parse_graph(data: dict) -> Graph:
             raise GraphFormatError("no tree vertex of degree 1 to use as root")
         root = leaves[0]
     else:
-        root = int(root)
+        try:
+            root = int(root)
+        except (TypeError, ValueError):
+            raise GraphFormatError(f"root {root!r} is not a vertex id") from None
         if root not in vset:
             raise GraphFormatError(f"root {root} is not a vertex")
         if sum(1 for e in tree if root in e) != 1:
@@ -157,12 +146,19 @@ def parse_graph(data: dict) -> Graph:
         g_tmp = Graph(vertices, edges, tree, root, None)
         if not g_tmp.is_simple():
             raise GraphFormatError("rotation given for a multigraph; omit it and subdivide first")
+        if not isinstance(data["rotation"], dict):
+            raise GraphFormatError("rotation is not an object of neighbor lists")
         rotation = {}
         for v_str, nbrs in data["rotation"].items():
-            v = int(v_str)
+            try:
+                v = int(v_str)
+                rotation[v] = tuple(int(x) for x in nbrs)
+            except (TypeError, ValueError):
+                raise GraphFormatError(
+                    f"rotation entry {v_str!r}: {nbrs!r} is not a list of "
+                    "neighbor ids") from None
             if v not in vset:
                 raise GraphFormatError(f"rotation for unknown vertex {v}")
-            rotation[v] = tuple(int(x) for x in nbrs)
         for v in vertices:
             expected = sorted(g_tmp.neighbors(v))
             got = sorted(rotation.get(v, ()))
@@ -409,6 +405,7 @@ class VertexOrder:
     original: dict[int, int]               # label -> original id
     edge_labels: dict[Edge, tuple[int, int]]   # original edge -> (tau, iota)
     parent: dict[int, int]                 # child label -> parent label
+    children: dict[int, tuple[int, ...]]   # label -> tree child labels, branch order
 
 
 def order_vertices(g: Graph, rotation: dict[int, tuple[int, ...]] | None = None) -> VertexOrder:
@@ -428,6 +425,7 @@ def order_vertices(g: Graph, rotation: dict[int, tuple[int, ...]] | None = None)
 
     label: dict[int, int] = {}
     parent_of: dict[int, int] = {}
+    children_of: dict[int, list[int]] = {}
     counter = 1
 
     def branch_children(v: int, parent: int | None) -> list[int]:
@@ -447,7 +445,8 @@ def order_vertices(g: Graph, rotation: dict[int, tuple[int, ...]] | None = None)
         counter += 1
         if par is not None:
             parent_of[v] = par
-        for child in reversed(branch_children(v, par)):
+        children_of[v] = branch_children(v, par)
+        for child in reversed(children_of[v]):
             stack.append((child, v))
 
     original = {lab: v for v, lab in label.items()}
@@ -456,7 +455,8 @@ def order_vertices(g: Graph, rotation: dict[int, tuple[int, ...]] | None = None)
         la, lb = label[e[0]], label[e[1]]
         edge_labels[e] = (min(la, lb), max(la, lb))
     parent = {label[v]: label[p] for v, p in parent_of.items()}
-    return VertexOrder(label, original, edge_labels, parent)
+    children = {label[v]: tuple(label[w] for w in kids) for v, kids in children_of.items()}
+    return VertexOrder(label, original, edge_labels, parent, children)
 
 
 @dataclass
@@ -491,27 +491,9 @@ class OrderedGraph:
         return kids.index(child) + 1
 
     def is_two_connected(self) -> bool:
-        if self.n < 3:
-            return False
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        for cut in range(1, self.n + 1):
-            rest = [v for v in range(1, self.n + 1) if v != cut]
-            if not rest:
-                continue
-            seen = {rest[0]}
-            stack = [rest[0]]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w != cut and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(rest):
-                return False
-        return True
+        return self.n >= 3 and all(
+            len(_reachable(2 if cut == 1 else 1, self.edges, avoid=cut)) == self.n - 1
+            for cut in range(1, self.n + 1))
 
 
 def ordered(g: Graph) -> OrderedGraph:
@@ -524,23 +506,9 @@ def ordered(g: Graph) -> OrderedGraph:
     tree = frozenset(vo.edge_labels[e] for e in g.tree_edges)
     deleted = tuple(sorted(e for e in edges if e not in tree))
     rotation = {lab[v]: tuple(lab[w] for w in nbrs) for v, nbrs in rotation_src.items()}
-    children: dict[int, tuple[int, ...]] = {}
-    tadj: dict[int, set[int]] = {v: set() for v in range(1, len(g.vertices) + 1)}
-    for a, b in tree:
-        tadj[a].add(b)
-        tadj[b].add(a)
-    for v in range(1, len(g.vertices) + 1):
-        rot = rotation[v]
-        tree_nbrs = [w for w in rot if w in tadj[v]]
-        if v == 1:
-            children[v] = tuple(tree_nbrs)
-        else:
-            par = vo.parent[v]
-            i = tree_nbrs.index(par)
-            children[v] = tuple(tree_nbrs[i + 1:] + tree_nbrs[:i])
     return OrderedGraph(
         n=len(g.vertices), edges=edges, tree=tree, deleted=deleted,
-        parent=dict(vo.parent), children=children, rotation=rotation,
+        parent=dict(vo.parent), children=vo.children, rotation=rotation,
         original_id=dict(vo.original), source=g)
 
 

@@ -1,19 +1,19 @@
 """Word rewriting through the Morse matching and presentation assembly.
 
-Three moves reduce any edge-path word to an invariant word over critical
-1-cells: free cancellation of adjacent inverse letters, deletion of
-collapsible letters, and the simple homotopy that replaces a redundant
-letter by the rest of the boundary square it is matched with.  The move
-kinds are tried in that priority order, leftmost occurrence first, purely
-for reproducibility of traces; the final word does not depend on it.
+The discrete gradient flow is a homomorphism of free groups: a critical
+1-cell maps to itself, a collapsible one to the empty word, and a redundant
+one to the image of the rest of the boundary square it is matched with.
+The image of a word is the free reduction of its letters' images.  Each
+redundant cell's image is computed once and kept in the complex's
+`flow_cache`, so every relator, loop image and stability lift shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cells import (COLLAPSIBLE, REDUNDANT, Cell, CellWord, CubeComplex,
-                    inverse_word, word_str)
+from .cells import (COLLAPSIBLE, CRITICAL, REDUNDANT, Cell, CellWord,
+                    CubeComplex, inverse_word, word_str)
 from .errors import MatchingError, RewriteLimitError
 
 DEFAULT_MAX_STEPS = 10**6
@@ -33,59 +33,75 @@ class RewriteTrace:
     steps: list[RewriteStep] = field(default_factory=list)
 
 
+def _free_reduce(letters, steps: list[RewriteStep] | None = None) -> CellWord:
+    out: list = []
+    for c, s in letters:
+        if out and out[-1] == (c, -s):
+            out.pop()
+            if steps is not None:
+                steps.append(RewriteStep("free_cancel", len(out), (c,)))
+        else:
+            out.append((c, s))
+    return tuple(out)
+
+
+def _square_rest(cx: CubeComplex, sigma: Cell, tau: Cell) -> CellWord:
+    """The word equal to sigma across its matched square tau."""
+    boundary = cx.boundary_word(tau)
+    occ = [i for i, (c, _) in enumerate(boundary) if c == sigma]
+    if len(occ) != 1:
+        raise MatchingError(
+            f"{sigma} occurs {len(occ)} times in the boundary of its "
+            f"matched 2-cell {tau}")
+    i = occ[0]
+    rest = boundary[i + 1:] + boundary[:i]
+    # sigma^eps * rest is null-homotopic, so sigma = rest^(-eps)
+    return rest if boundary[i][1] < 0 else inverse_word(rest)
+
+
 def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> RewriteTrace:
-    """Reduce `word` to the invariant word over critical 1-cells."""
-    current = list(word)
-    trace = RewriteTrace(input=tuple(word), output=())
-    steps = 0
-    while True:
-        steps += 1
-        if steps > max_steps:
-            raise RewriteLimitError(
-                f"rewriting exceeded {max_steps} steps; the matching is "
-                "probably broken (raise --max-steps only if you are sure)")
+    """Reduce `word` to the invariant word over critical 1-cells.  The trace
+    holds the move applied to each input letter and each free cancellation
+    of the final reduction; `max_steps` bounds the redundant cells whose
+    image this call has to expand."""
+    expansions = 0
+    open_cells: set[Cell] = set()
 
-        moved = False
-        for j in range(len(current) - 1):
-            (c1, s1), (c2, s2) = current[j], current[j + 1]
-            if c1 == c2 and s1 == -s2:
-                trace.steps.append(RewriteStep("free_cancel", j, (c1,)))
-                del current[j:j + 2]
-                moved = True
-                break
-        if moved:
-            continue
-
-        kinds = [cx.classify(c).kind for c, _ in current]
-
-        if COLLAPSIBLE in kinds:
-            j = kinds.index(COLLAPSIBLE)
-            trace.steps.append(RewriteStep("collapse", j, (current[j][0],)))
-            del current[j]
-            continue
-
-        if REDUNDANT in kinds:
-            j = kinds.index(REDUNDANT)
-            sigma, sign = current[j]
-            tau = cx.matching_image(sigma)
-            boundary = cx.boundary_word(tau)
-            occ = [i for i, (c, _) in enumerate(boundary) if c == sigma]
-            if len(occ) != 1:
+    def image(cell: Cell, sign: int) -> CellWord:
+        nonlocal expansions
+        cls = cx.classify(cell)
+        if cls.kind == CRITICAL:
+            return ((cell, sign),)
+        if cls.kind == COLLAPSIBLE:
+            return ()
+        got = cx.flow_cache.get(cell)
+        if got is None:
+            if cell in open_cells:
                 raise MatchingError(
-                    f"{sigma} occurs {len(occ)} times in the boundary of its "
-                    f"matched 2-cell {tau}")
-            i = occ[0]
-            eps = boundary[i][1]
-            rest = boundary[i + 1:] + boundary[:i]
-            # sigma^eps * rest is null-homotopic, so sigma = rest^(-eps)
-            replacement = rest if eps * sign < 0 else inverse_word(rest)
-            trace.steps.append(RewriteStep("simple_homotopy", j, (sigma, tau)))
-            current[j:j + 1] = list(replacement)
-            continue
+                    f"the matching flow returns to {cell} while expanding it; "
+                    "the matching has a cycle")
+            expansions += 1
+            if expansions > max_steps:
+                raise RewriteLimitError(
+                    f"rewriting exceeded the bound of {max_steps} flow "
+                    "expansions (raise --max-steps only if you are sure)")
+            open_cells.add(cell)
+            got = _free_reduce(x for letter in _square_rest(cx, cell, cls.partner)
+                               for x in image(*letter))
+            open_cells.discard(cell)
+            cx.flow_cache[cell] = got
+        return got if sign > 0 else inverse_word(got)
 
-        break
-
-    trace.output = tuple(current)
+    trace = RewriteTrace(input=tuple(word), output=())
+    images = []
+    for j, (cell, sign) in enumerate(trace.input):
+        cls = cx.classify(cell)
+        if cls.kind == COLLAPSIBLE:
+            trace.steps.append(RewriteStep("collapse", j, (cell,)))
+        elif cls.kind == REDUNDANT:
+            trace.steps.append(RewriteStep("simple_homotopy", j, (cell, cls.partner)))
+        images.extend(image(cell, sign))
+    trace.output = _free_reduce(images, trace.steps)
     return trace
 
 
@@ -93,10 +109,6 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
 class MorsePresentation:
     generators: list[Cell]                      # critical 1-cells, canonical order
     relators: list[tuple[tuple[int, ...], Cell]]  # (signed index word, source 2-cell)
-
-    @property
-    def generator_names(self) -> list[str]:
-        return [str(c) for c in self.generators]
 
     def __str__(self) -> str:
         gens = ", ".join(map(str, self.generators))

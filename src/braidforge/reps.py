@@ -49,10 +49,22 @@ class UnitaryAssignment:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UnitaryAssignment":
-        k = int(data["k"])
+        if not isinstance(data, dict) or not isinstance(data.get("matrices"), dict):
+            raise ValidationError("assignment has no 'matrices' object")
+        try:
+            k = int(data["k"])
+        except (KeyError, TypeError, ValueError):
+            k = 0
+        if k < 1:
+            raise ValidationError(f"assignment 'k' is {data.get('k')!r}; "
+                                  "expected a positive integer")
         mats = {}
         for name, entries in data["matrices"].items():
-            flat = np.array([complex(re, im) for re, im in entries])
+            try:
+                flat = np.array([complex(re, im) for re, im in entries])
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"matrix for {name} is not a list of [re, im] pairs") from None
             if flat.size != k * k:
                 raise ValidationError(f"matrix for {name} has {flat.size} entries, needs {k * k}")
             mats[name] = flat.reshape(k, k)

@@ -1,7 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import braidforge as bf
+from braidforge.cli import main
 from braidforge.fixtures import fixture_path
 
 THETA = str(fixture_path("theta"))
@@ -220,3 +226,77 @@ def test_loop_without_required_key_exit_2(tmp_path):
     assert r.returncode == 2
     assert "loop 1 (Y) has no 'k'" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+THETA_GRAPH = json.loads(Path(THETA).read_text())
+LOOPS4 = {"loops": [
+    {"type": "Y", "k": 4, "m": 6, "n": 9, "spectators": [1, 2]},
+    {"type": "Y", "k": 4, "m": 6, "n": 9, "spectators": [1, 10]},
+    {"type": "Y", "k": 4, "m": 6, "n": 9, "spectators": [10, 11]},
+    {"type": "O", "cycle": [1, 2, 3, 4, 5, 6, 7, 8], "spectators": [9, 10, 11]},
+    {"type": "O", "cycle": [5, 6, 7, 8, 1, 11, 10, 9], "spectators": [2, 3, 4]}]}
+
+
+@pytest.mark.parametrize("command, data, culprit", [
+    ("physical", [1], "not an object with a 'loops' list"),
+    ("physical", {"loops": [1]}, "loop 0 is not an object"),
+    ("physical", {"loops": 5}, "not an object with a 'loops' list"),
+    ("physical", {"loops": [{"type": "Y", "k": "x", "m": 6, "n": 9}]},
+     "loop 0 (Y) has 'k' = 'x'"),
+    ("physical", {"loops": [{"type": "Y", "k": 4, "m": 6, "n": 9,
+                             "spectators": ["a"]}]}, "loop 0 (Y) has 'spectators'"),
+    ("physical", {"loops": [{"type": "O", "cycle": [1, "b"]}]},
+     "loop 0 (O) has 'cycle'"),
+    ("h1", dict(THETA_GRAPH, root="x"), "root 'x'"),
+    ("h1", dict(THETA_GRAPH, rotation=dict(THETA_GRAPH["rotation"], **{"1": 5})),
+     "rotation entry '1'"),
+    ("rep-verify", {"matrices": {}}, "assignment 'k'"),
+    ("rep-verify", {"k": 2, "matrices": {"a": [1, 2, 3, 4]}}, "matrix for a"),
+])
+def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"generators": ["a"], "relators": []}))
+    argv = {"physical": ["physical", THETA, "-n", "2", "--loops", str(bad)],
+            "h1": ["h1", str(bad), "-n", "2"],
+            "rep-verify": ["rep-verify", str(pres), str(bad)]}[command]
+    assert main(argv) == 2
+    assert culprit in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["present", THETA, "-n", "3"],
+     "ad3c511ed406f3a6292dc903682e93220b04277ad535f8cb41178f06f8ea7015"),
+    (["minimal", THETA, "-n", "4"],
+     "607102d970b276c3ea680c9220df813723042efccc090e02c974ba49bb822d23"),
+    (["physical", THETA, "-n", "4", "--loops", "LOOPS4"],
+     "75e9e0a996ed34494e6b35abaf82413ad2ac8c2cd72a9cafa7c7f2b25f0c4274"),
+    (["locally-abelian", THETA, "-n", "4", "--loops", "LOOPS4"],
+     "53342a7c6710b14522e51d489b7afb2564f3a1e7a32e5faa57e2712afa9c61a5"),
+])
+def test_json_artifact_digests(tmp_path, argv, digest):
+    # pins the JSON artifacts byte for byte
+    loops = tmp_path / "loops4.json"
+    loops.write_text(json.dumps(LOOPS4))
+    argv = [str(loops) if a == "LOOPS4" else a for a in argv]
+    r = subprocess.run([sys.executable, "-m", "braidforge.cli", *argv, "--json"],
+                       capture_output=True)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+def test_cyclic_matching_exit_2(monkeypatch, capsys):
+    # break theta n=3: the square of a redundant cell b met while expanding a
+    # redundant letter a of the first relator now leads back to a
+    cx = bf.CubeComplex(bf.ordered(bf.parse_graph(THETA_GRAPH)), 3)
+    redundant = lambda word: [c for c, _ in word if cx.classify(c).kind == "redundant"]
+    a = redundant(cx.boundary_word(cx.critical_cells(2)[0]))[0]
+    b = next(c for c in redundant(cx.boundary_word(cx.matching_image(a))) if c != a)
+    square_b = cx.matching_image(b)
+    real = bf.CubeComplex.boundary_word
+    monkeypatch.setattr(bf.CubeComplex, "boundary_word", lambda self, cell:
+                        ((b, 1), (a, 1)) if cell == square_b else real(self, cell))
+    assert main(["present", THETA, "-n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "cycle" in err and (str(a) in err or str(b) in err)

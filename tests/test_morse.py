@@ -1,15 +1,19 @@
+import hashlib
+import json
+import re
+
 import pytest
 
 import braidforge as bf
-from braidforge.cells import inverse_word
-from braidforge.errors import RewriteLimitError
+from braidforge.cells import Cell, MorseClass, inverse_word
+from braidforge.errors import MatchingError, RewriteLimitError
 from braidforge.morse import cell_word_to_indices, rewrite_word
 from braidforge.presentation import (abelianization_matrix, from_morse,
                                      in_row_lattice)
 from braidforge import words as W
 
-from helpers import (complex_for, cw, edge_crossings, morse, og, theta_cells,
-                     theta_loop_specs)
+from helpers import (complete_bipartite_33, complete_graph, complex_for, cw,
+                     edge_crossings, morse, og, theta_cells, theta_loop_specs)
 
 
 def test_free_cancellation_of_critical_pair():
@@ -76,10 +80,88 @@ def test_rewrite_preserves_deleted_edge_crossings():
 
 
 def test_rewrite_step_bound():
-    cx = complex_for("theta", 3)
-    tau = theta_cells(3)["t1"]
+    # the bound counts the flow expansions of one call, so it needs a fresh
+    # complex: the shared complex_for() one has every image cached already
+    cx = bf.CubeComplex(og("theta"), 3)
+    word = cx.boundary_word(theta_cells(3)["t1"])
     with pytest.raises(RewriteLimitError):
-        rewrite_word(cx, cx.boundary_word(tau), max_steps=2)
+        rewrite_word(cx, word, max_steps=2)
+    # images cached before the error stay correct
+    assert rewrite_word(cx, word).output == \
+        rewrite_word(complex_for("theta", 3), word).output
+
+
+def _rescanning_rewrite(cx, word):
+    """Reference: apply free cancellation, collapse and the simple homotopy,
+    leftmost first in that priority order, until none applies."""
+    current = list(word)
+    while True:
+        j = next((j for j in range(len(current) - 1)
+                  if current[j] == (current[j + 1][0], -current[j + 1][1])), None)
+        if j is not None:
+            del current[j:j + 2]
+            continue
+        kinds = [cx.classify(c).kind for c, _ in current]
+        if "collapsible" in kinds:
+            del current[kinds.index("collapsible")]
+        elif "redundant" in kinds:
+            j = kinds.index("redundant")
+            sigma, sign = current[j]
+            boundary = cx.boundary_word(cx.matching_image(sigma))
+            i = next(i for i, (c, _) in enumerate(boundary) if c == sigma)
+            rest = boundary[i + 1:] + boundary[:i]
+            current[j:j + 1] = rest if boundary[i][1] * sign < 0 else inverse_word(rest)
+        else:
+            return tuple(current)
+
+
+def test_flow_matches_rescanning_reference():
+    cases = [complex_for("theta", 3), complex_for("theta", 4),
+             bf.CubeComplex(bf.ordered(bf.subdivide_for(complete_graph(4), 3)), 3)]
+    for cx in cases:
+        words = [cx.boundary_word(tau) for tau in cx.cells(2)]
+        words += [u + inverse_word(v) for u, v in zip(words, words[7::3])]
+        for word in words:
+            assert rewrite_word(cx, word).output == _rescanning_rewrite(cx, word)
+
+
+class _CyclicComplex:
+    """Two redundant 1-cells a and b whose matched squares each lead back to
+    the other cell."""
+    a, b = Cell(((1, 2),), (5,)), Cell(((1, 2),), (6,))
+    square = {a: Cell(((1, 2), (5, 6)), ()), b: Cell(((1, 2), (7, 8)), ())}
+
+    def __init__(self):
+        self.flow_cache = {}
+
+    def classify(self, cell):
+        return MorseClass("redundant", self.square[cell])
+
+    def boundary_word(self, tau):
+        a, b = self.a, self.b
+        return ((a, 1), (b, 1)) if tau == self.square[a] else ((b, 1), (a, -1))
+
+
+def test_cyclic_matching_raises_naming_the_cell():
+    cx = _CyclicComplex()
+    with pytest.raises(MatchingError, match=re.escape(f"returns to {cx.a}")):
+        rewrite_word(cx, ((cx.a, 1),))
+    assert cx.flow_cache == {}
+
+
+@pytest.mark.parametrize("name, graph, n, digest", [
+    ("K33", complete_bipartite_33(), 3,
+     "1159e516398255375cf5b21036d32d7366faf9feeefdd653750d5b8eeaa0cd9b"),
+    ("K4", complete_graph(4), 4,
+     "115c49b33ef321b2a3eb0b25f8c664a89bbf460430e10f3a41b32f5b55ccdb9e"),
+])
+def test_morse_presentation_digest(name, graph, n, digest):
+    # pins generators and relators letter for letter
+    mp = bf.morse_presentation(
+        bf.CubeComplex(bf.ordered(bf.subdivide_for(graph, n)), n))
+    blob = json.dumps([[str(c) for c in mp.generators],
+                       [list(w) for w, _ in mp.relators]], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_rewrite_concatenation_homomorphism():
