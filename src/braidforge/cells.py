@@ -94,10 +94,12 @@ class CubeComplex:
         if check:
             report = check_subdivision(og.source, n)
             if not report.ok():
+                arc = report.short_root_arc
                 raise SubdivisionError(
                     f"graph is not sufficiently subdivided for {n} particles: "
                     f"{len(report.path_violations)} path violations, "
-                    f"{len(report.cycle_violations)} cycle violations")
+                    f"{len(report.cycle_violations)} cycle violations"
+                    + (f", root arc {arc} has fewer than {n - 1} edges" if arc else ""))
         self.og = og
         self.n = n
         self._classify_cache: dict[Cell, MorseClass] = {}

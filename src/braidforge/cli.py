@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .cells import CubeComplex
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError, ValidationError, json_int
 from .graph import (Graph, check_tree_conditions, ordered, parse_graph,
                     subdivide_for)
 from .loops import OLoopSpec, YLoopSpec, solve_physical_presentation
@@ -235,9 +235,9 @@ def _loop_ids(item: dict, index: int, key: str):
     many = key in ("cycle", "spectators")
     try:
         if not many:
-            return int(value)
+            return json_int(value)
         if isinstance(value, list):
-            return tuple(int(v) for v in value)
+            return tuple(json_int(v) for v in value)
     except (TypeError, ValueError):
         pass
     raise ValidationError(

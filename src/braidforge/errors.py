@@ -1,5 +1,13 @@
 """Exception hierarchy. Validation errors map to CLI exit 2, computation
-failures to exit 3."""
+failures to exit 3.  Also the strict integer reader of the JSON loaders."""
+
+
+def json_int(value) -> int:
+    """int(value) for an id or count read from JSON, without truncation:
+    bool and numbers with a fractional part raise ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 class BraidforgeError(Exception):

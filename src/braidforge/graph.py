@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, json_int
 
 Edge = tuple[int, int]
 
@@ -94,12 +94,15 @@ def parse_graph(data: dict) -> Graph:
     Required keys: vertices, edges, tree_edges.  Optional: root (defaults to
     the lowest-id vertex of tree-degree 1), rotation (simple graphs only).
     """
-    try:
-        vertices = tuple(sorted(int(v) for v in data["vertices"]))
-        raw_edges = [tuple(int(x) for x in e) for e in data["edges"]]
-        raw_tree = [tuple(int(x) for x in e) for e in data["tree_edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"malformed graph file: {exc}") from exc
+    def read(key, convert):
+        try:
+            return [convert(x) for x in data[key]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphFormatError(f"malformed graph file: {key!r}: {exc}") from exc
+
+    vertices = tuple(sorted(read("vertices", json_int)))
+    raw_edges, raw_tree = (read(key, lambda e: tuple(json_int(x) for x in e))
+                           for key in ("edges", "tree_edges"))
     if len(set(vertices)) != len(vertices):
         raise GraphFormatError("duplicate vertex ids")
     vset = set(vertices)
@@ -133,7 +136,7 @@ def parse_graph(data: dict) -> Graph:
         root = leaves[0]
     else:
         try:
-            root = int(root)
+            root = json_int(root)
         except (TypeError, ValueError):
             raise GraphFormatError(f"root {root!r} is not a vertex id") from None
         if root not in vset:
@@ -151,8 +154,8 @@ def parse_graph(data: dict) -> Graph:
         rotation = {}
         for v_str, nbrs in data["rotation"].items():
             try:
-                v = int(v_str)
-                rotation[v] = tuple(int(x) for x in nbrs)
+                v = json_int(v_str)
+                rotation[v] = tuple(json_int(x) for x in nbrs)
             except (TypeError, ValueError):
                 raise GraphFormatError(
                     f"rotation entry {v_str!r}: {nbrs!r} is not a list of "
@@ -190,9 +193,12 @@ class SubdivisionReport:
     # (essential u, essential v, edge count) per violating segment
     cycle_violations: list[tuple[int, ...]] = field(default_factory=list)
     # violating simple cycles as vertex tuples
+    short_root_arc: tuple[int, ...] | None = None
+    # the root arc (see _root_arc) when it has fewer than n-1 edges
 
     def ok(self) -> bool:
-        return not self.path_violations and not self.cycle_violations
+        return (not self.path_violations and not self.cycle_violations
+                and self.short_root_arc is None)
 
 
 def _segments(g: Graph):
@@ -258,23 +264,35 @@ def _short_cycles(g: Graph, max_len: int):
 
     for start in sorted(g.vertices):
         dfs([start], set(), start)
-    out = []
-    for key, verts in sorted(found.items(), key=lambda kv: (len(kv[0]), kv[1])):
-        out.append(verts)
-    return out
+    return [verts for _, verts in sorted(found.items(),
+                                         key=lambda kv: (len(kv[0]), kv[1]))]
+
+
+def _root_arc(g: Graph) -> tuple[int, ...]:
+    """The tree path from the root through vertices of tree degree 2, up to
+    the first tree junction or leaf.  The ordering numbers it 1, 2, ..."""
+    tadj: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for a, b in g.tree_edges:
+        tadj[a].append(b)
+        tadj[b].append(a)
+    arc = [g.root]
+    step = tadj[g.root]
+    while len(step) == 1:
+        arc.append(step[0])
+        step = [w for w in tadj[step[0]] if w != arc[-2]]
+    return tuple(arc)
 
 
 def check_subdivision(g: Graph, n: int) -> SubdivisionReport:
-    """Violations of the two conditions for n particles: every segment
-    between distinct essential vertices needs >= n-1 edges and every simple
-    cycle needs >= n+1 edges."""
-    rep = SubdivisionReport(target_n=n)
-    for (u, v, chain) in _segments(g):
-        if u != v and len(chain) < n - 1:
-            rep.path_violations.append((u, v, len(chain)))
-    for cyc in _short_cycles(g, max_len=n):
-        rep.cycle_violations.append(cyc)
-    return rep
+    """Violations of the three conditions for n particles: every segment
+    between distinct essential vertices needs >= n-1 edges, every simple
+    cycle needs >= n+1 edges, and the root arc needs >= n-1 edges (otherwise
+    n particles stacked at the root reach a junction or run out of room, and
+    the critical 0-cell is not unique)."""
+    arc = _root_arc(g)
+    return SubdivisionReport(
+        n, [(u, v, len(chain)) for u, v, chain in _segments(g) if len(chain) < n - 1],
+        _short_cycles(g, max_len=n), arc if len(arc) < n else None)
 
 
 def subdivide_for(g: Graph, n: int) -> Graph:
@@ -310,9 +328,10 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         chain_edges = list(zip(chain[:-1], chain[1:]))
         flags = [True] * len(chain_edges)
         if not in_tree:
-            # keep exactly one deleted edge, anchored at the original lower
-            # endpoint when it is still present on this piece
-            anchor = orig_min if orig_min in (u, v) else min(u, v)
+            # keep exactly one deleted edge, anchored at the root when the
+            # piece touches it (the root keeps tree degree 1), else at the
+            # original lower endpoint when it is still present on this piece
+            anchor = next(x for x in (g.root, orig_min, min(u, v)) if x in (u, v))
             for i, e in enumerate(chain_edges):
                 if anchor in e:
                     flags[i] = False
@@ -386,6 +405,16 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         deficit = (n + 1) - len(eids)
         for eid, extra in zip(eids, spread(deficit, len(eids))):
             subdivide_record(eid, extra)
+
+    # condition 3: pad a short root arc; its edges are tree edges of a
+    # simple graph by now, so again every record is subdivided at most once
+    cur = current_graph()
+    arc = _root_arc(cur)
+    if 1 < len(arc) < n:
+        rec_of_pair = {_norm_edge(r[0], r[1]): i for i, r in enumerate(records)}
+        arc_edges = [_norm_edge(a, b) for a, b in zip(arc, arc[1:])]
+        for pair, extra in zip(arc_edges, spread(n - len(arc), len(arc_edges))):
+            subdivide_record(rec_of_pair[pair], extra)
 
     out = current_graph()
     if rotation is not None:

@@ -17,7 +17,7 @@ from .errors import PhysicalSolveError, ValidationError
 from .graph import OrderedGraph
 from .morse import DEFAULT_MAX_STEPS, MorsePresentation, rewrite_word
 from .presentation import (FPGroup, TietzeResult, abelianization_matrix,
-                           in_row_lattice, named_word_to_indices)
+                           from_morse, in_row_lattice, named_word_to_indices)
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,13 @@ def check_closed(word: CellWord):
         raise ValidationError("word is not a closed loop")
 
 
-def loop_image(cx: CubeComplex, word: CellWord, base: bool = True,
+def loop_image(cx: CubeComplex, word: CellWord,
                max_steps: int = DEFAULT_MAX_STEPS) -> CellWord:
     """Image of a closed loop in the quotient complex: conjugate to the base
     configuration along the falling path, then rewrite."""
     check_closed(word)
-    based = tuple(word)
-    if base and word:
-        start = letter_endpoints(word[0])[0]
-        path = cx.path_to_base(start)
-        based = path + based + inverse_word(path)
-    return rewrite_word(cx, based, max_steps).output
+    path = cx.path_to_base(letter_endpoints(word[0])[0]) if word else ()
+    return rewrite_word(cx, path + tuple(word) + inverse_word(path), max_steps).output
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +175,7 @@ def _suggest_loops(cx: CubeComplex, cell: Cell) -> list[YLoopSpec]:
 
 def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
                                 specs, mp: MorsePresentation,
-                                max_steps: int = DEFAULT_MAX_STEPS,
-                                validate: bool = True) -> PhysicalPresentation:
+                                max_steps: int = DEFAULT_MAX_STEPS) -> PhysicalPresentation:
     """Express minimized generators as loop words and rewrite the relators.
 
     Iteratively picks a loop equation in which exactly one not-yet-solved
@@ -192,7 +187,7 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
     loop_gens: list[LoopGenerator] = []
     for spec in specs:
         word = loop_word(og, spec)
-        img = loop_image(cx, word, base=True, max_steps=max_steps)
+        img = loop_image(cx, word, max_steps=max_steps)
         kind = "Y" if isinstance(spec, YLoopSpec) else "O"
         loop_gens.append(LoopGenerator(spec, spec.name,
                                        kind, tuple((str(c), s) for c, s in img)))
@@ -286,8 +281,7 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
                     tuple(origin for origin, _ in relators))
     pp = PhysicalPresentation(loop_gens, [(nm, dictionary[nm]) for nm in dict_order],
                               relators, group)
-    if validate:
-        _validate_consequences(cx, mp, pp, max_steps)
+    _validate_consequences(mp, pp)
     return pp
 
 
@@ -311,13 +305,11 @@ def _expand_to_known(named_word, elim_by_gen, known: set[str]):
     raise PhysicalSolveError("could not expand dependency relator to known cells")
 
 
-def _validate_consequences(cx: CubeComplex, mp: MorsePresentation,
-                           pp: PhysicalPresentation, max_steps: int):
+def _validate_consequences(mp: MorsePresentation, pp: PhysicalPresentation):
     """Physical relators, read back through the loop images, must be
     consequences of the Morse relators: abelianized membership always, free
     triviality when the Morse presentation is relator-free."""
-    morse_fp = FPGroup(tuple(str(c) for c in mp.generators),
-                       tuple(w for w, _ in mp.relators))
+    morse_fp = from_morse(mp)
     matrix = abelianization_matrix(morse_fp)
     images = [named_word_to_indices(lg.image, morse_fp.generators)
               for lg in pp.loops]

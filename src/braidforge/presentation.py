@@ -139,12 +139,10 @@ def abelianization_matrix(p: FPGroup) -> list[list[int]]:
 class SNF:
     diagonal: tuple[int, ...]     # nonzero invariant factors d1 | d2 | ...
     rank: int
-    row_transform: tuple[tuple[int, ...], ...]   # U with U A V = D
-    col_transform: tuple[tuple[int, ...], ...]   # V
 
 
 def smith_normal_form(matrix) -> SNF:
-    """Exact integer Smith normal form with transforms, U A V = D.
+    """Invariant factors of an integer matrix, exactly.
 
     Sparse elimination on Python integers (after Dumas, Saunders & Villard,
     JSC 2001): the pivot is a live entry of least absolute value, ties going
@@ -154,16 +152,13 @@ def smith_normal_form(matrix) -> SNF:
     entry takes that entry's row in; otherwise it retires.  Every later
     entry is a combination of entries it divides, so the retired pivots
     form the divisor chain d1 | d2 | ..."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
+    n = len(matrix[0]) if matrix else 0
     rows = {i: {j: int(x) for j, x in enumerate(row) if x}
             for i, row in enumerate(matrix)}
     cols: dict[int, set[int]] = {j: set() for j in range(n)}
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(m)]    # U by rows
-    v = [{j: 1} for j in range(n)]    # V by columns
 
     def put(i, j, x):
         if x:
@@ -173,15 +168,13 @@ def smith_normal_form(matrix) -> SNF:
             rows[i].pop(j, None)
             cols[j].discard(i)
 
-    def add_row(dst, src, k):         # row dst += k * row src, in A and U
+    def add_row(dst, src, k):         # row dst += k * row src
         for j, x in list(rows[src].items()):
             put(dst, j, rows[dst].get(j, 0) + k * x)
-        _axpy(u[dst], u[src], k)
 
-    def add_col(dst, src, k):         # column dst += k * column src, in A and V
+    def add_col(dst, src, k):         # column dst += k * column src
         for i in list(cols[src]):
             put(i, dst, rows[i].get(dst, 0) + k * rows[i][src])
-        _axpy(v[dst], v[src], k)
 
     pivots = []
     while any(rows.values()):
@@ -199,44 +192,23 @@ def smith_normal_form(matrix) -> SNF:
         if bad is not None:
             add_row(r, bad, 1)
             continue
-        if p < 0:
-            u[r] = {j: -x for j, x in u[r].items()}
-        pivots.append((r, c, abs(p)))
+        pivots.append(abs(p))
         del rows[r], cols[c]
-
-    row_order = [r for r, _, _ in pivots]
-    row_order += sorted(set(range(m)) - set(row_order))
-    col_order = [c for _, c, _ in pivots]
-    col_order += sorted(set(range(n)) - set(col_order))
-    return SNF(tuple(d for _, _, d in pivots), len(pivots),
-               tuple(tuple(u[i].get(j, 0) for j in range(m)) for i in row_order),
-               tuple(tuple(v[j].get(i, 0) for j in col_order) for i in range(n)))
-
-
-def _axpy(dst: dict, src: dict, k: int):
-    """dst += k * src on sparse vectors."""
-    for key, x in src.items():
-        y = dst.get(key, 0) + k * x
-        if y:
-            dst[key] = y
-        else:
-            del dst[key]
+    return SNF(tuple(pivots), len(pivots))
 
 
 def in_row_lattice(matrix, vector) -> bool:
-    """Is `vector` an integer combination of the rows of `matrix`?"""
+    """Is `vector` an integer combination of the rows of `matrix`?
+
+    L(A) lies in L(A) + Zv.  When appending v as a row keeps the rank, the
+    index of L(A) in L(A) + Zv is prod d(A) / prod d(A + v) over the
+    invariant factors, so v is a member exactly when they do not change."""
     if not matrix:
         return all(x == 0 for x in vector)
-    snf = smith_normal_form(matrix)
-    n = len(matrix[0])
-    if len(vector) != n:
+    if len(vector) != len(matrix[0]):
         raise ValueError("length mismatch")
-    # y A = v  <=>  z D = v V with integer z
-    vv = [sum(vector[i] * snf.col_transform[i][j] for i in range(n)) for j in range(n)]
-    for j, d in enumerate(snf.diagonal):
-        if vv[j] % d != 0:
-            return False
-    return all(x == 0 for x in vv[len(snf.diagonal):])
+    return (smith_normal_form(matrix).diagonal
+            == smith_normal_form(list(matrix) + [list(vector)]).diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoRepresentationFound, ValidationError
+from .errors import NoRepresentationFound, ValidationError, json_int
 from .presentation import FPGroup
 
 UNITARITY_TOL = 1e-10
+DEGENERACY_TOL = 1e-6      # eigenvalues this close form one cluster
 
 
 @dataclass
@@ -52,7 +53,7 @@ class UnitaryAssignment:
         if not isinstance(data, dict) or not isinstance(data.get("matrices"), dict):
             raise ValidationError("assignment has no 'matrices' object")
         try:
-            k = int(data["k"])
+            k = json_int(data["k"])
         except (KeyError, TypeError, ValueError):
             k = 0
         if k < 1:
@@ -331,27 +332,23 @@ class ComponentLabel:
 
 
 def classify_theta_component(p: FPGroup, assignment: UnitaryAssignment,
-                             tol: float = 1e-8, degeneracy_tol: float = 1e-6,
-                             exchange: str | None = None) -> ComponentLabel:
+                             tol: float = 1e-8) -> ComponentLabel:
     """Connected-component label for a verified point of a single-relator,
     commutator-shaped presentation.
 
-    The exchange generator (the one whose matrix spectrum is inspected)
-    defaults to the first letter of the relator; the conjugator is the
-    product of the remaining generators in presentation order.  A scalar
-    exchange matrix lands in the unique component M_0; a nondegenerate
-    spectrum labels a permutation component M_P; partial degeneracy gives
-    the block variant."""
+    The exchange generator (the one whose matrix spectrum is inspected) is
+    the first letter of the relator; the conjugator is the product of the
+    remaining generators in presentation order.  A scalar exchange matrix
+    lands in the unique component M_0; a nondegenerate spectrum labels a
+    permutation component M_P; partial degeneracy (eigenvalues within
+    DEGENERACY_TOL) gives the block variant."""
     if len(p.relators) != 1:
         raise ValidationError("component classification needs exactly one relator")
     report = verify_representation(p, assignment, tol)
     if not report.passed:
         raise ValidationError(
             f"assignment fails verification (max residual {report.max_deviation:.3e})")
-    if exchange is None:
-        exchange = p.generators[abs(p.relators[0][0]) - 1]
-    if exchange not in p.generators:
-        raise ValidationError(f"unknown exchange generator {exchange}")
+    exchange = p.generators[abs(p.relators[0][0]) - 1]
     others = [g for g in p.generators if g != exchange]
 
     u_gamma = assignment.matrices[exchange]
@@ -367,11 +364,11 @@ def classify_theta_component(p: FPGroup, assignment: UnitaryAssignment,
     # cluster eigenvalues on the unit circle
     clusters: list[list[int]] = []
     for i, lam in enumerate(eigvals):
-        if clusters and abs(lam - eigvals[clusters[-1][-1]]) <= degeneracy_tol:
+        if clusters and abs(lam - eigvals[clusters[-1][-1]]) <= DEGENERACY_TOL:
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    if len(clusters) > 1 and abs(eigvals[clusters[0][0]] - eigvals[clusters[-1][-1]]) <= degeneracy_tol:
+    if len(clusters) > 1 and abs(eigvals[clusters[0][0]] - eigvals[clusters[-1][-1]]) <= DEGENERACY_TOL:
         clusters[0] = clusters.pop() + clusters[0]
 
     if len(clusters) == 1:

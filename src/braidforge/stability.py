@@ -84,15 +84,12 @@ class StabilityReport:
         return bool(self.rows) and self.rows[-1].new_relators == 0
 
 
-def stability_report(og: OrderedGraph, n_lo: int, n_hi: int,
-                     check_sufficiency: bool = True) -> StabilityReport:
+def stability_report(og: OrderedGraph, n_lo: int, n_hi: int) -> StabilityReport:
     if n_lo < 1 or n_hi < n_lo:
         raise ValidationError("need 1 <= n_lo <= n_hi")
-    if check_sufficiency:
-        rep = check_subdivision(og.source, n_hi)
-        if not rep.ok():
-            raise ValidationError(
-                f"graph is not sufficiently subdivided for {n_hi} particles")
+    if not check_subdivision(og.source, n_hi).ok():
+        raise ValidationError(
+            f"graph is not sufficiently subdivided for {n_hi} particles")
     if not og.is_two_connected():
         warnings.warn("graph is not 2-connected; generator counts need not "
                       "stabilize", stacklevel=2)

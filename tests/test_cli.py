@@ -87,6 +87,20 @@ def test_subdivide_roundtrip(tmp_path):
     assert r2.stdout.count("e(") >= 10
 
 
+def test_subdivide_then_h1_multigraph(tmp_path, capsys):
+    # a parallel edge at the root: the written graph must read back, with the
+    # root still a leaf of the tree
+    raw = tmp_path / "multigraph.json"
+    raw.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2], [1, 3], [1, 2]],
+                               "tree_edges": [[1, 2], [1, 3]]}))
+    with pytest.warns(UserWarning, match="no rotation"):
+        assert main(["subdivide", str(raw), "-n", "3"]) == 0
+    sub = tmp_path / "sub.json"
+    sub.write_text(capsys.readouterr().out)
+    assert main(["h1", str(sub), "-n", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "Z^3"
+
+
 def test_cells_listing():
     r = run_cli("cells", THETA, "-n", "2", "--dim", "1", "--kind", "critical")
     assert r.returncode == 0
@@ -252,6 +266,19 @@ LOOPS4 = {"loops": [
      "rotation entry '1'"),
     ("rep-verify", {"matrices": {}}, "assignment 'k'"),
     ("rep-verify", {"k": 2, "matrices": {"a": [1, 2, 3, 4]}}, "matrix for a"),
+    # ids and k are integers: no truncation of 4.9, no bool as 1
+    ("physical", {"loops": [{"type": "Y", "k": 4.9, "m": 6, "n": 9}]},
+     "loop 0 (Y) has 'k' = 4.9"),
+    ("physical", {"loops": [{"type": "O", "cycle": [1, 2, 3, 4, 5, 6, 7, 8],
+                             "spectators": [True]}]}, "loop 0 (O) has 'spectators'"),
+    ("h1", dict(THETA_GRAPH, root=1.9), "root 1.9"),
+    ("h1", dict(THETA_GRAPH, vertices=THETA_GRAPH["vertices"][:-1] + [11.5]),
+     "'vertices'"),
+    ("h1", dict(THETA_GRAPH, tree_edges=THETA_GRAPH["tree_edges"][:-1] + [[True, 2]]),
+     "'tree_edges'"),
+    ("h1", dict(THETA_GRAPH, rotation=dict(THETA_GRAPH["rotation"], **{"1": [2, 8.5]})),
+     "rotation entry '1'"),
+    ("rep-verify", {"k": 2.7, "matrices": {}}, "assignment 'k' is 2.7"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"

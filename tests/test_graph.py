@@ -1,7 +1,7 @@
 import pytest
 
 import braidforge as bf
-from braidforge.errors import GraphFormatError
+from braidforge.errors import GraphFormatError, SubdivisionError
 from braidforge.fixtures import load_fixture
 from braidforge.graph import check_tree_conditions, relabel_canonically
 
@@ -182,6 +182,23 @@ def test_subdivide_cycle_condition_drives_padding():
         s = bf.subdivide_for(g, 3)
     assert bf.check_subdivision(s, 3).ok()
     assert len(s.edges) >= 4
+
+
+def test_short_root_arc_is_reported_and_padded():
+    # the root arc 3-2 reaches the junction 2 after one edge, so three
+    # particles stacked at the root have two critical 0-cells
+    g = bf.parse_graph({"vertices": [1, 2, 3, 4],
+                        "edges": [[1, 2], [2, 3], [2, 4], [1, 3]],
+                        "tree_edges": [[1, 2], [2, 3], [2, 4]], "root": 3})
+    assert bf.check_subdivision(g, 2).short_root_arc is None
+    assert bf.check_subdivision(g, 3).short_root_arc == (3, 2)
+    with pytest.warns(UserWarning):
+        og3 = bf.ordered(g)
+    with pytest.raises(SubdivisionError, match=r"root arc \(3, 2\)"):
+        bf.CubeComplex(og3, 3)
+    with pytest.warns(UserWarning):
+        s = bf.subdivide_for(g, 3)
+    assert bf.check_subdivision(s, 3).ok()
 
 
 def test_subdivide_unchanged_when_sufficient():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -69,10 +70,6 @@ def test_snf_examples():
     assert z.diagonal == () and z.rank == 0
 
 
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 small_matrices = st.lists(
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
     min_size=1, max_size=4).filter(lambda rows: len({len(r) for r in rows}) == 1)
@@ -105,22 +102,12 @@ def _determinantal_diagonal(rows):
 
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
-def test_snf_transforms_and_divisibility(rows):
+def test_snf_divisor_chain(rows):
     snf = smith_normal_form(rows)
-    u = [list(r) for r in snf.row_transform]
-    v = [list(r) for r in snf.col_transform]
-    d = _matmul(_matmul(u, rows), v)
-    for i, row in enumerate(d):
-        for j, x in enumerate(row):
-            if i == j and i < len(snf.diagonal):
-                assert x == snf.diagonal[i] > 0
-            else:
-                assert x == 0
+    assert snf.rank == len(snf.diagonal)
+    assert all(d > 0 for d in snf.diagonal)
     for a, b in zip(snf.diagonal, snf.diagonal[1:]):
         assert b % a == 0
-    # unimodular transforms make U A V = D a certificate
-    assert _det(u) in (1, -1)
-    assert _det(v) in (1, -1)
 
 
 @given(small_matrices, st.randoms(use_true_random=False))
@@ -153,9 +140,61 @@ def test_in_row_lattice():
     m = [[2, 0], [0, 3]]
     assert in_row_lattice(m, [4, 3])
     assert not in_row_lattice(m, [1, 0])
-    assert in_row_lattice([], [0, 0]) if [] else True
+    assert in_row_lattice([], [0, 0])
+    assert not in_row_lattice([], [0, 1])
     assert in_row_lattice([[0, 0]], [0, 0])
     assert not in_row_lattice([[0, 0]], [1, 0])
+    with pytest.raises(ValueError, match="length mismatch"):
+        in_row_lattice(m, [1, 2, 3])
+
+
+def _rational_solution(rows, vector):
+    """The rational y with y A = v, by exact Gauss-Jordan elimination on
+    A^T y = v; None when v is outside the row span.  A needs independent
+    rows, so that y is unique; ValueError otherwise."""
+    m = len(rows)
+    aug = [[Fraction(row[j]) for row in rows] + [Fraction(x)]
+           for j, x in enumerate(vector)]
+    for c in range(m):
+        p = next((i for i in range(c, len(aug)) if aug[i][c]), None)
+        if p is None:
+            raise ValueError("dependent rows")
+        aug[c], aug[p] = aug[p], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [x / pivot for x in aug[c]]
+        for i in range(len(aug)):
+            if i != c and aug[i][c]:
+                factor = aug[i][c]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[c])]
+    if any(row[m] for row in aug[m:]):
+        return None
+    return [row[m] for row in aug[:m]]
+
+
+def _int_lists(bound):
+    """Four small integers; zipped with up to four rows or columns."""
+    return st.lists(st.integers(min_value=-bound, max_value=bound),
+                    min_size=4, max_size=4)
+
+
+@given(small_matrices, _int_lists(3), _int_lists(1))
+@example([[2, 0], [0, 3]], [1, 1, 0, 0], [1, 0, 0, 0])
+@example([[2, 2]], [0, 0, 0, 0], [1, 1, 0, 0])
+@example([[1, 2], [2, 4], [3, 6]], [1, -1, 1, 0], [0, 0, 0, 0])
+@settings(max_examples=200, deadline=None)
+def test_in_row_lattice_matches_exact_solve(rows, coeffs, step):
+    n = len(rows[0])
+    # every integer combination of the rows is a member, dependent rows too
+    combo = [sum(y * row[j] for y, row in zip(coeffs, rows)) for j in range(n)]
+    assert in_row_lattice(rows, combo)
+    # one small step off that combination: compare with the exact solve
+    vector = [a + b for a, b in zip(combo, step)]
+    try:
+        y = _rational_solution(rows, vector)
+    except ValueError:
+        return
+    member = y is not None and all(x.denominator == 1 for x in y)
+    assert in_row_lattice(rows, vector) == member
 
 
 # -- homology ----------------------------------------------------------------------
