@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import MatchingError, SubdivisionError, ValidationError
+from .errors import MatchingError, ValidationError
 from .graph import Edge, OrderedGraph, check_subdivision
 
 Config = frozenset[int]
@@ -92,14 +92,7 @@ class CubeComplex:
         if n < 1:
             raise ValueError("n must be >= 1")
         if check:
-            report = check_subdivision(og.source, n)
-            if not report.ok():
-                arc = report.short_root_arc
-                raise SubdivisionError(
-                    f"graph is not sufficiently subdivided for {n} particles: "
-                    f"{len(report.path_violations)} path violations, "
-                    f"{len(report.cycle_violations)} cycle violations"
-                    + (f", root arc {arc} has fewer than {n - 1} edges" if arc else ""))
+            check_subdivision(og.source, n).require()
         self.og = og
         self.n = n
         self._classify_cache: dict[Cell, MorseClass] = {}

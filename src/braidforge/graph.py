@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import GraphFormatError, json_int
+from .errors import GraphFormatError, SubdivisionError, json_int
 
 Edge = tuple[int, int]
 
@@ -200,6 +200,25 @@ class SubdivisionReport:
         return (not self.path_violations and not self.cycle_violations
                 and self.short_root_arc is None)
 
+    def require(self) -> None:
+        """Raise SubdivisionError naming the first violation of each kind."""
+        if self.ok():
+            return
+        n, parts = self.target_n, []
+        if self.path_violations:
+            u, v, k = self.path_violations[0]
+            parts.append(f"{len(self.path_violations)} short segment(s), first "
+                         f"{u}-{v} with {k} edges (needs {n - 1})")
+        if self.cycle_violations:
+            cycle = self.cycle_violations[0]
+            parts.append(f"{len(self.cycle_violations)} short cycle(s), first "
+                         f"{cycle} with {len(cycle)} edges (needs {n + 1})")
+        if self.short_root_arc:
+            arc = self.short_root_arc
+            parts.append(f"root arc {arc} with {len(arc) - 1} edges (needs {n - 1})")
+        raise SubdivisionError(f"graph is not sufficiently subdivided for {n} "
+                               "particles: " + "; ".join(parts))
+
 
 def _segments(g: Graph):
     """Maximal chains through degree-2 vertices.  Yields (u, v, edge ids)
@@ -298,9 +317,14 @@ def check_subdivision(g: Graph, n: int) -> SubdivisionReport:
 def subdivide_for(g: Graph, n: int) -> Graph:
     """Insert degree-2 vertices until the graph is sufficiently subdivided
     for n particles, then relabel canonically via order_vertices.  Returns g
-    unchanged when it is already sufficient."""
+    unchanged when it is already sufficient.  A loop at the root raises
+    SubdivisionError: opening it would give the root tree degree 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if (g.root, g.root) in g.edges:
+        raise SubdivisionError(
+            f"loop ({g.root}, {g.root}) at the root {g.root}: no subdivision of "
+            "it keeps the root a leaf of the tree; choose another root")
     if g.is_simple() and check_subdivision(g, n).ok():
         return g
 
@@ -545,14 +569,8 @@ def relabel_canonically(g: Graph) -> Graph:
     """Rewrite a graph with vertex ids equal to their depth-first labels.
     The rotation actually used for the ordering is stored on the result, so
     reordering the output is the identity."""
-    rotation_src = _rotation_or_default(g)
-    vo = order_vertices(g, rotation_src)
-    lab = vo.label
-    vertices = tuple(range(1, len(g.vertices) + 1))
-    edges = tuple(sorted(_norm_edge(lab[a], lab[b]) for a, b in g.edges))
-    tree = frozenset(_norm_edge(lab[a], lab[b]) for a, b in g.tree_edges)
-    rotation = {lab[v]: tuple(lab[w] for w in nbrs) for v, nbrs in rotation_src.items()}
-    return Graph(vertices, edges, tree, lab[g.root], rotation)
+    og = ordered(g)
+    return Graph(tuple(range(1, og.n + 1)), og.edges, og.tree, og.root, og.rotation)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .cells import Cell, CellWord, CubeComplex, inverse_word, letter_endpoints
 from .errors import PhysicalSolveError, ValidationError
 from .graph import OrderedGraph
 from .morse import DEFAULT_MAX_STEPS, MorsePresentation, rewrite_word
-from .presentation import (FPGroup, TietzeResult, abelianization_matrix,
+from .presentation import (FPGroup, TietzeResult, _named, abelianization_matrix,
                            from_morse, in_row_lattice, named_word_to_indices)
 
 
@@ -253,10 +253,9 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
 
     # minimized relators through the dictionary
     for ri, rel in enumerate(minimized.group.relators):
-        named = tuple((minimized.group.generators[abs(x) - 1], 1 if x > 0 else -1)
-                      for x in rel)
         origin = minimized.group.provenance[ri] or f"relator {ri + 1}"
-        relators.append((f"minimal:{origin}", to_loops(named)))
+        relators.append((f"minimal:{origin}",
+                         to_loops(_named(rel, minimized.group.generators))))
 
     # dependency relators for auxiliary solved cells
     elim_by_gen = {e.generator: e for e in minimized.eliminations}

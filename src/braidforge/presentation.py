@@ -4,6 +4,7 @@ Smith normal form and first homology."""
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from . import words as W
@@ -75,49 +76,36 @@ def tietze_minimize(p: FPGroup, target: int | None = None,
 
     Candidates are preferred by largest cell size, then shortest eliminating
     relator, then lowest generator and relator index; this repeats to a
-    fixpoint.  The elimination log records, per removed generator, the
-    relator used and the substituted expression, both over generator names
-    (the names stay meaningful after renumbering)."""
+    fixpoint.  Generators and relators keep their input index throughout and
+    are renumbered once at the end (input indices sort like renumbered ones,
+    so the preference is unaffected).  The elimination log records, per
+    removed generator, the relator used and the substituted expression, both
+    over generator names."""
     sizes = sizes or {}
-    names = list(p.generators)
-    relators = [W.free_reduce(r) for r in p.relators]
-    prov = list(p.provenance)
+    names = p.generators
+    relators = {ri: W.free_reduce(r) for ri, r in enumerate(p.relators)}
+    live = list(range(1, len(names) + 1))
     log: list[Elimination] = []
 
     while True:
-        best = None
-        for gi in range(1, len(names) + 1):
-            for ri, rel in enumerate(relators):
-                if W.occurrences(rel, gi) != 1:
-                    continue
-                key = (-sizes.get(names[gi - 1], 0), len(rel), gi, ri)
-                if best is None or key < best[0]:
-                    best = (key, gi, ri)
-        if best is None:
+        candidates = [(-sizes.get(names[g - 1], 0), len(rel), g, ri)
+                      for ri, rel in relators.items()
+                      for g, count in Counter(map(abs, rel)).items() if count == 1]
+        if not candidates:
             break
-        _, gi, ri = best
-        rel = relators[ri]
-        expr = W.solve_for(rel, gi)
-        log.append(Elimination(names[gi - 1], _named(rel, names), _named(expr, names)))
+        _, _, g, ri = min(candidates)
+        rel = relators.pop(ri)
+        expr = W.solve_for(rel, g)
+        log.append(Elimination(names[g - 1], _named(rel, names), _named(expr, names)))
+        live.remove(g)
+        relators = {i: w for i, r in relators.items() if (w := W.substitute(r, g, expr))}
 
-        del relators[ri]
-        del prov[ri]
-        relators = [W.substitute(r, gi, expr) for r in relators]
-        # renumber: drop generator gi, shift the ones above down by one
-        def shift(word):
-            out = []
-            for x in word:
-                a = abs(x)
-                out.append(x if a < gi else (a - 1) * (1 if x > 0 else -1))
-            return tuple(out)
-        relators = [shift(r) for r in relators]
-        del names[gi - 1]
-        keep = [i for i, r in enumerate(relators) if r]
-        relators = [relators[i] for i in keep]
-        prov = [prov[i] for i in keep]
-
-    group = FPGroup(tuple(names), tuple(relators), tuple(prov))
-    reached = None if target is None else len(names) <= target
+    index = {g: i for i, g in enumerate(live, 1)}
+    group = FPGroup(tuple(names[g - 1] for g in live),
+                    tuple(tuple(index[x] if x > 0 else -index[-x] for x in r)
+                          for r in relators.values()),
+                    tuple(p.provenance[ri] for ri in relators))
+    reached = None if target is None else len(live) <= target
     return TietzeResult(group, log, target, reached)
 
 

@@ -47,10 +47,6 @@ def substitute(word, gen: int, expr) -> Word:
     return free_reduce(out)
 
 
-def occurrences(word, gen: int) -> int:
-    return sum(1 for x in word if abs(x) == gen)
-
-
 def solve_for(relator, gen: int) -> Word:
     """Given relator == 1 containing `gen` exactly once, express gen as a word
     in the other generators: pre gen^s post = 1  =>  gen^s = pre^-1 post^-1."""

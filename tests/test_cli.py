@@ -279,6 +279,13 @@ LOOPS4 = {"loops": [
     ("h1", dict(THETA_GRAPH, rotation=dict(THETA_GRAPH["rotation"], **{"1": [2, 8.5]})),
      "rotation entry '1'"),
     ("rep-verify", {"k": 2.7, "matrices": {}}, "assignment 'k' is 2.7"),
+    # inputs that no subdivision serves, or that are not subdivided enough
+    ("subdivide", {"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3], [1, 1]],
+                   "tree_edges": [[1, 2], [2, 3]], "root": 1},
+     "loop (1, 1) at the root 1"),
+    ("stabilize", {"vertices": [1, 2, 3, 4], "edges": [[1, 2], [2, 3], [2, 4], [1, 3]],
+                   "tree_edges": [[1, 2], [2, 3], [2, 4]], "root": 3},
+     "root arc (3, 2) with 1 edges (needs 2)"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
@@ -287,7 +294,9 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     pres.write_text(json.dumps({"generators": ["a"], "relators": []}))
     argv = {"physical": ["physical", THETA, "-n", "2", "--loops", str(bad)],
             "h1": ["h1", str(bad), "-n", "2"],
-            "rep-verify": ["rep-verify", str(pres), str(bad)]}[command]
+            "rep-verify": ["rep-verify", str(pres), str(bad)],
+            "subdivide": ["subdivide", str(bad), "-n", "3"],
+            "stabilize": ["stabilize", str(bad), "--from", "2", "--to", "3"]}[command]
     assert main(argv) == 2
     assert culprit in capsys.readouterr().err
 

@@ -194,11 +194,32 @@ def test_short_root_arc_is_reported_and_padded():
     assert bf.check_subdivision(g, 3).short_root_arc == (3, 2)
     with pytest.warns(UserWarning):
         og3 = bf.ordered(g)
-    with pytest.raises(SubdivisionError, match=r"root arc \(3, 2\)"):
+    with pytest.raises(SubdivisionError, match=r"root arc \(3, 2\) with 1 edges"):
         bf.CubeComplex(og3, 3)
+    with pytest.raises(SubdivisionError, match=r"root arc \(3, 2\) with 1 edges"):
+        bf.stability_report(og3, 2, 3)
     with pytest.warns(UserWarning):
         s = bf.subdivide_for(g, 3)
     assert bf.check_subdivision(s, 3).ok()
+
+
+def test_subdivision_error_names_first_violations():
+    with pytest.raises(SubdivisionError) as info:
+        bf.CubeComplex(og("theta"), 12)
+    assert str(info.value) == (
+        "graph is not sufficiently subdivided for 12 particles: 3 short "
+        "segment(s), first 1-5 with 4 edges (needs 11); 3 short cycle(s), first "
+        "(1, 2, 3, 4, 5, 6, 7, 8) with 8 edges (needs 13); root arc "
+        "(1, 2, 3, 4, 5) with 4 edges (needs 11)")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subdivide_rejects_loop_at_root(n):
+    # no subdivision of a loop at the root keeps the root a leaf of the tree
+    g = bf.parse_graph({"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3], [1, 1]],
+                        "tree_edges": [[1, 2], [2, 3]], "root": 1})
+    with pytest.raises(SubdivisionError, match=r"loop \(1, 1\) at the root 1"):
+        bf.subdivide_for(g, n)
 
 
 def test_subdivide_unchanged_when_sufficient():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -8,12 +10,12 @@ from hypothesis import strategies as st
 
 import braidforge as bf
 from braidforge import words as W
-from braidforge.presentation import (FPGroup, HomologyClass,
+from braidforge.presentation import (Elimination, FPGroup, HomologyClass,
                                      abelianization_matrix, homology_h1,
                                      in_row_lattice, smith_normal_form,
                                      tietze_minimize)
 
-from helpers import minimized, morse, theta_cells
+from helpers import complete_graph, minimized, morse, theta_cells
 
 
 # -- words ---------------------------------------------------------------------
@@ -322,8 +324,79 @@ def test_tietze_size_preference():
 def test_solve_for_inverts_single_occurrence(prefix, suffix):
     # plant generator 4 exactly once between arbitrary words over 1..3
     rel = W.free_reduce(tuple(prefix) + (4,) + tuple(suffix))
-    if W.occurrences(rel, 4) != 1:
+    if sum(abs(x) == 4 for x in rel) != 1:
         return
     expr = W.solve_for(rel, 4)
-    assert W.occurrences(expr, 4) == 0
+    assert 4 not in map(abs, expr)
     assert W.substitute(rel, 4, expr) == ()
+
+
+def _renumbering_tietze(p, sizes=None):
+    """Reference: rescan every (generator, relator) pair for a single
+    occurrence and renumber the generators after each elimination."""
+    sizes = sizes or {}
+    names = list(p.generators)
+    relators = [W.free_reduce(r) for r in p.relators]
+    prov = list(p.provenance)
+    named = lambda word: tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in word)
+    log = []
+    while True:
+        best = None
+        for gi in range(1, len(names) + 1):
+            for ri, rel in enumerate(relators):
+                if sum(abs(x) == gi for x in rel) != 1:
+                    continue
+                key = (-sizes.get(names[gi - 1], 0), len(rel), gi, ri)
+                if best is None or key < best[0]:
+                    best = (key, gi, ri)
+        if best is None:
+            break
+        _, gi, ri = best
+        rel = relators[ri]
+        expr = W.solve_for(rel, gi)
+        log.append(Elimination(names[gi - 1], named(rel), named(expr)))
+        del relators[ri]
+        del prov[ri]
+        relators = [tuple(x if abs(x) < gi else x - (1 if x > 0 else -1)
+                          for x in W.substitute(r, gi, expr)) for r in relators]
+        del names[gi - 1]
+        keep = [i for i, r in enumerate(relators) if r]
+        relators = [relators[i] for i in keep]
+        prov = [prov[i] for i in keep]
+    return FPGroup(tuple(names), tuple(relators), tuple(prov)), log
+
+
+@st.composite
+def presentations(draw):
+    names = "abcde"[:draw(st.integers(0, 5))]
+    word = (st.lists(st.integers(-len(names), len(names)).filter(bool), max_size=8)
+            if names else st.just([]))
+    # half of the relators are w w^-1, which reduce to empty on input
+    rels = draw(st.lists(st.tuples(word, st.booleans()).map(
+        lambda t: tuple(t[0]) + (W.inverse(t[0]) if t[1] else ())), max_size=5))
+    prov = tuple(f"r{i}" for i in range(len(rels)))
+    sizes = draw(st.none() | st.lists(st.integers(0, 3), min_size=len(names),
+                                      max_size=len(names)).map(
+        lambda s: dict(zip(names, s))))
+    return FPGroup(tuple(names), tuple(rels), prov), sizes
+
+
+@given(presentations())
+@example((FPGroup(("a", "b"), ((1, -1), (1, 2), (2, 1, -2))), None))
+@example((FPGroup(("a",), ((1, 1), ())), None))
+@settings(max_examples=300, deadline=None)
+def test_tietze_matches_renumbering_reference(case):
+    p, sizes = case
+    res = tietze_minimize(p, sizes=sizes)
+    assert (res.group, res.eliminations) == _renumbering_tietze(p, sizes)
+
+
+def test_tietze_k5_n4_digest():
+    # pins the minimized group and the elimination log letter for letter
+    og5 = bf.ordered(bf.subdivide_for(complete_graph(5), 4))
+    res, _ = bf.minimize_morse(og5, bf.morse_presentation(bf.CubeComplex(og5, 4)))
+    blob = json.dumps([res.group.generators, res.group.relators, res.group.provenance,
+                       [[e.generator, e.relator, e.expression] for e in res.eliminations]],
+                      separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "738336d7bd7da9b5e4ffc608b0b6705c793db960861ea1948306dab01cf76ecc"
