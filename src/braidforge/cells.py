@@ -8,6 +8,10 @@ order.  The matching pairs each redundant cell with the cell obtained by
 replacing its lowest unblocked vertex v by the parent edge e(v); critical
 cells, which survive into the quotient complex, are those whose vertices are
 all blocked and whose edges are all non-order-respecting.
+
+`critical_cells` generates the critical cells directly from that rule, in
+any dimension up to N.  The full enumeration `cells` remains only for the
+`cells` command, the 1-skeleton oracle and `validate_matching`.
 """
 
 from __future__ import annotations
@@ -151,6 +155,21 @@ class CubeComplex:
 
     # -- enumeration ---------------------------------------------------------
 
+    def _matchings(self, dim: int):
+        """Each set of `dim` pairwise disjoint edges, in lexicographic order,
+        with the set of its endpoints."""
+        edges = self.og.edges
+
+        def grow(start, chosen, used):
+            if len(chosen) == dim:
+                yield chosen, used
+                return
+            for i in range(start, len(edges)):
+                a, b = edges[i]
+                if a not in used and b not in used:
+                    yield from grow(i + 1, chosen + (edges[i],), used | {a, b})
+        return grow(0, (), frozenset())
+
     def cells(self, dim: int) -> list[Cell]:
         """All cells of the given dimension, in canonical order."""
         if dim not in (0, 1, 2):
@@ -159,24 +178,50 @@ class CubeComplex:
             return []
         out = []
         verts = range(1, self.og.n + 1)
-        for es in combinations(self.og.edges, dim):
-            used: set[int] = set()
-            ok = True
-            for e in es:
-                if e[0] in used or e[1] in used:
-                    ok = False
-                    break
-                used.update(e)
-            if not ok:
-                continue
+        for es, used in self._matchings(dim):
             free = [v for v in verts if v not in used]
             for vs in combinations(free, self.n - dim):
                 out.append(Cell(es, vs))
         out.sort(key=Cell.sort_key)
         return out
 
+    def _blocked_vertex_sets(self, used: frozenset[int], k: int):
+        """Each increasing k-tuple of vertices outside `used` that are all
+        blocked when `used` is occupied.  A vertex is blocked by its parent,
+        whose label is smaller, so growing tuples in label order from the
+        root (if free) and the tree children of occupied vertices reaches
+        every such tuple exactly once."""
+        children = self.og.children
+
+        def grow(vs, frontier):
+            if len(vs) == k:
+                yield vs
+                return
+            for i, v in enumerate(frontier):
+                kids = [c for c in children[v] if c not in used]
+                yield from grow(vs + (v,), sorted(frontier[i + 1:] + kids))
+        start = [c for u in used for c in children[u] if c not in used]
+        if self.og.root not in used:
+            start.append(self.og.root)
+        return grow((), sorted(start))
+
     def critical_cells(self, dim: int) -> list[Cell]:
-        return [c for c in self.cells(dim) if self.is_critical(c)]
+        """The critical cells of the given dimension (any 0 <= dim <= n), in
+        canonical order, generated without enumerating the other cells: all
+        vertices blocked, and every tree edge (tau, iota) witnessed by a cell
+        vertex v with parent(v) = tau and tau < v < iota."""
+        if dim < 0:
+            raise ValueError("dimension must be >= 0")
+        if dim > self.n:
+            return []
+        out = []
+        for es, used in self._matchings(dim):
+            for vs in self._blocked_vertex_sets(used, self.n - dim):
+                cell = Cell(es, vs)
+                if not any(self.is_order_respecting(e, cell) for e in es):
+                    out.append(cell)
+        out.sort(key=Cell.sort_key)
+        return out
 
     # -- matching ------------------------------------------------------------
 

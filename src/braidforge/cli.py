@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cells import CubeComplex
+from .cells import CRITICAL, CubeComplex
 from .errors import ComputationError, ValidationError, json_int
 from .graph import (Graph, check_tree_conditions, ordered, parse_graph,
                     subdivide_for)
@@ -163,7 +163,8 @@ def cmd_cells(args):
     dims = [args.dim] if args.dim is not None else [0, 1, 2]
     rows = []
     for dim in dims:
-        for cell in cx.cells(dim):
+        listed = cx.critical_cells(dim) if args.kind == CRITICAL else cx.cells(dim)
+        for cell in listed:
             cls = cx.classify(cell)
             if args.kind != "all" and cls.kind != args.kind:
                 continue

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import pytest
 
 import braidforge as bf
@@ -5,7 +8,8 @@ from braidforge.cells import (COLLAPSIBLE, CRITICAL, REDUNDANT, Cell,
                               letter_endpoints)
 from braidforge.errors import MatchingError, SubdivisionError
 
-from helpers import E18, E59, E111, cell, complex_for, og, theta_cells
+from helpers import (E18, E59, E111, cell, complete_bipartite_33,
+                     complete_graph, complex_for, graph, og, theta_cells)
 
 
 def test_theta_critical_one_cells_n2():
@@ -27,6 +31,46 @@ def test_theta_critical_cell_counts():
         cx = complex_for("theta", n)
         assert len(cx.critical_cells(1)) == ones
         assert len(cx.critical_cells(2)) == twos
+
+
+def _matching_counts(og, top):
+    """m_d, the number of d-edge matchings of the ordered graph, d = 0..top."""
+    counts = [0] * (top + 1)
+
+    def grow(start, used, d):
+        counts[d] += 1
+        if d < top:
+            for i in range(start, len(og.edges)):
+                a, b = og.edges[i]
+                if a not in used and b not in used:
+                    grow(i + 1, used | {a, b}, d + 1)
+    grow(0, frozenset(), 0)
+    return counts
+
+
+@pytest.mark.parametrize("g, n, per_dim, chi", [
+    (complete_graph(5), 4, [1, 67, 232, 96, 0], 70),
+    (complete_graph(4), 5, [1, 24, 54, 19, 0, 0], 12),
+    (complete_bipartite_33(), 3, [1, 13, 19, 2], 5),
+    (graph("y"), 6, None, -14),
+    (graph("theta"), 4, None, -1),
+])
+def test_critical_cells_give_euler_characteristic(g, n, per_dim, chi):
+    # Forman: the alternating count of critical cells is the Euler
+    # characteristic of the complex, whose d-cells are a d-edge matching
+    # plus n - d of the |V| - 2d remaining vertices
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cx = bf.CubeComplex(bf.ordered(bf.subdivide_for(g, n)), n)
+    counts = [len(cx.critical_cells(d)) for d in range(n + 1)]
+    m = _matching_counts(cx.og, n)
+    assert sum((-1) ** d * math.comb(cx.og.n - 2 * d, n - d) * m[d]
+               for d in range(n + 1)) == chi
+    assert sum((-1) ** d * c for d, c in enumerate(counts)) == chi
+    assert per_dim in (None, counts)
+    assert cx.critical_cells(n + 1) == []
+    with pytest.raises(ValueError):
+        cx.critical_cells(-1)
 
 
 def test_single_edge_has_no_higher_cells():

@@ -310,6 +310,8 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
      "75e9e0a996ed34494e6b35abaf82413ad2ac8c2cd72a9cafa7c7f2b25f0c4274"),
     (["locally-abelian", THETA, "-n", "4", "--loops", "LOOPS4"],
      "53342a7c6710b14522e51d489b7afb2564f3a1e7a32e5faa57e2712afa9c61a5"),
+    (["cells", THETA, "-n", "3", "--kind", "critical"],
+     "49699c065407e3b53f4309f71fa3ef52ec624cdbaa980e2dd0f484e51c325667"),
 ])
 def test_json_artifact_digests(tmp_path, argv, digest):
     # pins the JSON artifacts byte for byte

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import pytest
 
@@ -8,8 +9,8 @@ import braidforge as bf
 from braidforge.cells import Cell, MorseClass, inverse_word
 from braidforge.errors import MatchingError, RewriteLimitError
 from braidforge.morse import cell_word_to_indices, rewrite_word
-from braidforge.presentation import (abelianization_matrix, from_morse,
-                                     in_row_lattice)
+from braidforge.presentation import (HomologyClass, abelianization_matrix,
+                                     from_morse, homology_h1, in_row_lattice)
 from braidforge import words as W
 
 from helpers import (complete_bipartite_33, complete_graph, complex_for, cw,
@@ -162,6 +163,22 @@ def test_morse_presentation_digest(name, graph, n, digest):
     blob = json.dumps([[str(c) for c in mp.generators],
                        [list(w) for w, _ in mp.relators]], separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_morse_presentation_k5_five_particles():
+    # the largest rung: pins generators, relators with their source 2-cells,
+    # and the first homology
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = bf.subdivide_for(complete_graph(5), 5)
+    mp = bf.morse_presentation(bf.CubeComplex(bf.ordered(g), 5))
+    assert (len(mp.generators), len(mp.relators)) == (126, 641)
+    assert homology_h1(from_morse(mp)) == HomologyClass(6, (2,))
+    blob = json.dumps([[str(c) for c in mp.generators],
+                       [[list(w), str(tau)] for w, tau in mp.relators]],
+                      separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "1a98258da5b1fc0bd8331896380fbcba65c496de40c8705b7b4f5ba552508cd3"
 
 
 def test_rewrite_concatenation_homomorphism():

@@ -116,6 +116,23 @@ def test_loop_image_class_matches_in_skeleton():
             assert in_row_lattice(matrix, diff), spec
 
 
+def _assert_critical_cells_filter_the_enumeration(cx):
+    # the direct generator against the classification of every cell
+    for d in (0, 1, 2):
+        assert cx.critical_cells(d) == [c for c in cx.cells(d)
+                                        if cx.is_critical(c)], (cx.n, d)
+
+
+def test_critical_cells_equal_filtered_enumeration():
+    complexes = [_pipeline(graph(name), n)
+                 for name in ("theta", "y", "lasso") for n in (2, 3, 4)]
+    complexes += [_pipeline(complete_graph(4), 4), _pipeline(complete_graph(5), 4),
+                  _pipeline(complete_graph(4), 5),
+                  bf.CubeComplex(bf.ordered(graph("y")), 5, check=False)]
+    for cx in complexes:
+        _assert_critical_cells_filter_the_enumeration(cx)
+
+
 @st.composite
 def random_graphs(draw):
     """Small connected simple graphs: a random tree plus a few extra edges."""
@@ -145,16 +162,18 @@ def random_graphs(draw):
 @settings(max_examples=25, deadline=None)
 def test_pipeline_random_graphs_two_particles(data):
     # end-to-end dual route on arbitrary small graphs, at two and three
-    # particles: the matching must validate and both presentations must give
-    # the same first homology.  In the first two examples subdivision once
-    # made a tree edge of a non-tree edge at the root; in the third the root
-    # arc reaches a junction after one edge.
+    # particles: the generated critical cells must be the critical ones of
+    # the full enumeration, the matching must validate and both
+    # presentations must give the same first homology.  In the first two
+    # examples subdivision once made a tree edge of a non-tree edge at the
+    # root; in the third the root arc reaches a junction after one edge.
     for n in (2, 3):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             g = bf.subdivide_for(bf.parse_graph(data), n)
             og = bf.ordered(g)
         cx = bf.CubeComplex(og, n)
+        _assert_critical_cells_filter_the_enumeration(cx)
         cx.validate_matching()
         h_morse = homology_h1(bf.from_morse(bf.morse_presentation(cx)))
         h_oracle = homology_h1(skeleton_presentation(cx).group)
