@@ -188,22 +188,19 @@ class CubeComplex:
     def _blocked_vertex_sets(self, used: frozenset[int], k: int):
         """Each increasing k-tuple of vertices outside `used` that are all
         blocked when `used` is occupied.  A vertex is blocked by its parent,
-        whose label is smaller, so growing tuples in label order from the
-        root (if free) and the tree children of occupied vertices reaches
-        every such tuple exactly once."""
-        children = self.og.children
+        whose label is smaller, so scanning labels upward and taking the root
+        or any vertex whose parent is already occupied reaches every such
+        tuple exactly once."""
+        parent, root, top = self.og.parent, self.og.root, self.og.n
 
-        def grow(vs, frontier):
+        def grow(vs, last, occupied):
             if len(vs) == k:
                 yield vs
                 return
-            for i, v in enumerate(frontier):
-                kids = [c for c in children[v] if c not in used]
-                yield from grow(vs + (v,), sorted(frontier[i + 1:] + kids))
-        start = [c for u in used for c in children[u] if c not in used]
-        if self.og.root not in used:
-            start.append(self.og.root)
-        return grow((), sorted(start))
+            for v in range(last + 1, top + 1):
+                if v not in occupied and (v == root or parent[v] in occupied):
+                    yield from grow(vs + (v,), v, occupied | {v})
+        return grow((), 0, used)
 
     def critical_cells(self, dim: int) -> list[Cell]:
         """The critical cells of the given dimension (any 0 <= dim <= n), in

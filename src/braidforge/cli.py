@@ -166,7 +166,8 @@ def cmd_cells(args):
         listed = cx.critical_cells(dim) if args.kind == CRITICAL else cx.cells(dim)
         for cell in listed:
             cls = cx.classify(cell)
-            if args.kind != "all" and cls.kind != args.kind:
+            # critical_cells lists only critical cells; the other kinds filter
+            if args.kind not in ("all", CRITICAL) and cls.kind != args.kind:
                 continue
             rows.append({"cell": str(cell), "dim": dim, "kind": cls.kind,
                          "partner": str(cls.partner) if cls.partner else None})
