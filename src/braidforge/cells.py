@@ -155,10 +155,10 @@ class CubeComplex:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _matchings(self, dim: int):
-        """Each set of `dim` pairwise disjoint edges, in lexicographic order,
-        with the set of its endpoints."""
-        edges = self.og.edges
+    @staticmethod
+    def _matchings(edges: tuple[Edge, ...], dim: int):
+        """Each set of `dim` pairwise disjoint edges out of the sorted
+        `edges`, in lexicographic order, with the set of its endpoints."""
 
         def grow(start, chosen, used):
             if len(chosen) == dim:
@@ -178,7 +178,7 @@ class CubeComplex:
             return []
         out = []
         verts = range(1, self.og.n + 1)
-        for es, used in self._matchings(dim):
+        for es, used in self._matchings(self.og.edges, dim):
             free = [v for v in verts if v not in used]
             for vs in combinations(free, self.n - dim):
                 out.append(Cell(es, vs))
@@ -206,13 +206,18 @@ class CubeComplex:
         """The critical cells of the given dimension (any 0 <= dim <= n), in
         canonical order, generated without enumerating the other cells: all
         vertices blocked, and every tree edge (tau, iota) witnessed by a cell
-        vertex v with parent(v) = tau and tau < v < iota."""
+        vertex v with parent(v) = tau and tau < v < iota.  A tree edge whose
+        tau has no such child can never be witnessed, so only the deleted
+        edges and the other tree edges are matched."""
         if dim < 0:
             raise ValueError("dimension must be >= 0")
         if dim > self.n:
             return []
+        og = self.og
+        edges = tuple(e for e in og.edges
+                      if e not in og.tree or min(og.children[e[0]]) < e[1])
         out = []
-        for es, used in self._matchings(dim):
+        for es, used in self._matchings(edges, dim):
             for vs in self._blocked_vertex_sets(used, self.n - dim):
                 cell = Cell(es, vs)
                 if not any(self.is_order_respecting(e, cell) for e in es):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -477,6 +478,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "particles", 1) < 1:
             raise ValidationError(f"-n/--particles must be at least 1, got {args.particles}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be at least 0, got {args.seed}")
+        if getattr(args, "restarts", 1) < 1:
+            raise ValidationError(f"--restarts must be at least 1, got {args.restarts}")
+        tol = getattr(args, "tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValidationError(f"--tol must be a finite positive number, got {tol}")
         return args.fn(args)
     except ValidationError as exc:
         print(f"braidforge: validation error: {exc}", file=sys.stderr)

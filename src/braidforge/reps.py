@@ -4,11 +4,13 @@ A representation assigns a k x k unitary to each generator; relators then
 evaluate to matrices whose Frobenius distance from the identity measures how
 far the assignment is from a representation point.  The solver runs
 projected gradient descent over products of unitary groups with a polar
-retraction after every step, restarted from seeded Haar-random points.
+retraction after every step, restarted from seeded Haar-random points; the
+restarts descend together, stacked on one leading axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,19 +129,21 @@ def polar_retract(mat: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _loss_and_grads(relators, mats: list[np.ndarray], k: int):
-    """Sum of squared Frobenius residuals and its Euclidean gradients.
+def _loss_and_grads(relators, mats: np.ndarray, k: int):
+    """Per-restart sums of squared Frobenius residuals and their Euclidean
+    gradients, for generator matrices stacked as (generators, restarts, k, k).
 
     For a relator word with letter matrices A_1..A_L and residual M = prod - I,
     the gradient contribution at letter j is P^dag M S^dag with P, S the
     products before and after the letter (transposed into the variable when
-    the letter is an inverse)."""
-    loss = 0.0
-    grads = [np.zeros((k, k), dtype=complex) for _ in mats]
+    the letter is an inverse).  Each restart's loss is summed from the 2-D
+    norm of its own residual, so it does not depend on the other restarts."""
+    losses = [0.0] * mats.shape[1]
+    grads = np.zeros_like(mats)
     eye = np.eye(k)
-    for rel in relators:
+    for rel in filter(None, relators):      # an empty relator always holds
         letters = [(abs(x) - 1, x > 0) for x in rel]
-        factors = [mats[g] if pos else mats[g].conj().T for g, pos in letters]
+        factors = [mats[g] if pos else _dagger(mats[g]) for g, pos in letters]
         prefix = [eye]
         for f in factors:
             prefix.append(prefix[-1] @ f)
@@ -148,11 +152,16 @@ def _loss_and_grads(relators, mats: list[np.ndarray], k: int):
             suffix.append(f @ suffix[-1])
         suffix.reverse()
         m = prefix[-1] - eye
-        loss += float(np.linalg.norm(m) ** 2)
+        for r in range(len(losses)):
+            losses[r] += float(np.linalg.norm(m[r]) ** 2)
         for j, (g, pos) in enumerate(letters):
-            y = prefix[j].conj().T @ m @ suffix[j + 1].conj().T
-            grads[g] += y if pos else y.conj().T
-    return loss, grads
+            y = _dagger(prefix[j]) @ m @ _dagger(suffix[j + 1])
+            grads[g] += y if pos else _dagger(y)
+    return losses, grads
+
+
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return mat.conj().swapaxes(-1, -2)
 
 
 @dataclass
@@ -171,45 +180,71 @@ class SolveOutcome:
     seed: int
     restart: int
     restart_seeds: list[int] = field(default_factory=list)
-
-
-def _solve_one(p: FPGroup, k: int, seed: int, opts: SolveOptions):
-    rng = np.random.default_rng(seed)
-    mats = [haar_unitary(k, rng) for _ in p.generators]
-    if not p.relators:
-        return mats, 0.0
-    step = opts.step
-    for it in range(opts.iterations):
-        loss, grads = _loss_and_grads(p.relators, mats, k)
-        if loss < (opts.tol * 0.1) ** 2:
-            break
-        eta = step / (1.0 + opts.step_decay * it)
-        mats = [polar_retract(m - eta * g) for m, g in zip(mats, grads)]
-    return mats, _loss_and_grads(p.relators, mats, k)[0]
+    restart_residuals: list[float] = field(default_factory=list)
+    restart_iterations: list[int] = field(default_factory=list)
 
 
 def solve_representation(p: FPGroup, k: int, seed: int = 0,
                          opts: SolveOptions | None = None) -> SolveOutcome:
     """Best-of-restarts local minimization; deterministic in `seed`.
 
-    Restart i uses seed + i; the best residual wins, ties going to the lower
-    restart index."""
+    Restart i starts from Haar-random matrices drawn with seed + i.  All
+    restarts descend together, stacked on one axis and sharing the step
+    schedule step / (1 + step_decay * it); a restart leaves the stack at the
+    iteration where its loss falls below (tol / 10)^2, or stays to the
+    iteration cap.  The best final loss wins, ties going to the lower restart
+    index."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     opts = opts or SolveOptions()
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
+    if opts.restarts < 1:
+        raise ValidationError(f"restarts must be at least 1, got {opts.restarts}")
+    if opts.iterations < 0:
+        raise ValidationError(f"iterations must be at least 0, got {opts.iterations}")
+    if not (math.isfinite(opts.tol) and opts.tol > 0):
+        raise ValidationError(f"tol must be a finite positive number, got {opts.tol}")
     restart_seeds = [seed + i for i in range(opts.restarts)]
-    results = [(i, _solve_one(p, k, s, opts)) for i, s in enumerate(restart_seeds)]
-    best_i, (best_mats, best_loss) = min(results, key=lambda t: (t[1][1], t[0]))
+    rngs = [np.random.default_rng(s) for s in restart_seeds]
+    mats = np.array([[haar_unitary(k, rng) for rng in rngs] for _ in p.generators],
+                    dtype=complex).reshape(len(p.generators), opts.restarts, k, k)
+    try:
+        done = (opts.tol * 0.1) ** 2
+    except OverflowError:       # a tol above about 1e155 accepts any loss
+        done = math.inf
+
+    # mats holds the live restarts; each leaves it for `final` at the
+    # iteration where it converges, the last ones at the cap
+    final = np.empty_like(mats)
+    residuals = [0.0] * opts.restarts
+    iterations = [0] * opts.restarts
+    live = list(range(opts.restarts))
+    for it in range(opts.iterations + 1):
+        losses, grads = _loss_and_grads(p.relators, mats, k)
+        stay = []
+        for j, r in enumerate(live):
+            if losses[j] < done or it == opts.iterations:
+                final[:, r], residuals[r], iterations[r] = mats[:, j], losses[j], it
+            else:
+                stay.append(j)
+        if not stay:
+            break
+        live = [live[j] for j in stay]
+        eta = opts.step / (1.0 + opts.step_decay * it)
+        mats = polar_retract(mats[:, stay] - eta * grads[:, stay])
+    best = min(range(opts.restarts), key=lambda r: (residuals[r], r))
 
     assignment = UnitaryAssignment(
-        k, {name: polar_retract(m) for name, m in zip(p.generators, best_mats)})
+        k, dict(zip(p.generators, polar_retract(final[:, best]))))
     report = verify_representation(p, assignment, opts.tol)
     if not report.passed:
         raise NoRepresentationFound(
             f"no representation found at tolerance {opts.tol} after "
             f"{opts.restarts} restarts (best residual {report.max_deviation:.3e}); "
             "this is not a nonexistence proof")
-    return SolveOutcome(assignment, report, seed, best_i, restart_seeds)
+    return SolveOutcome(assignment, report, seed, best, restart_seeds,
+                        residuals, iterations)
 
 
 # ---------------------------------------------------------------------------

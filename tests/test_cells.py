@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import combinations
 
 import pytest
 
@@ -71,6 +72,30 @@ def test_critical_cells_give_euler_characteristic(g, n, per_dim, chi):
     assert cx.critical_cells(n + 1) == []
     with pytest.raises(ValueError):
         cx.critical_cells(-1)
+
+
+def test_critical_cells_equal_filtered_cells_in_every_dimension():
+    # every cell up to dimension n, each d-edge matching of the whole graph
+    # with n - d of the remaining vertices, filtered by is_critical: the
+    # generator skips tree edges that no vertex can witness, and loses nothing
+    n = 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cx = bf.CubeComplex(bf.ordered(bf.subdivide_for(complete_graph(4), n)), n)
+    edges, verts = cx.og.edges, range(1, cx.og.n + 1)
+    every = [[] for _ in range(n + 1)]
+
+    def grow(start, es, used):
+        free = [v for v in verts if v not in used]
+        every[len(es)].extend(Cell(es, vs) for vs in combinations(free, n - len(es)))
+        for i in range(start, len(edges)):
+            if len(es) < n and not used & set(edges[i]):
+                grow(i + 1, es + (edges[i],), used | set(edges[i]))
+    grow(0, (), set())
+    for d in range(n + 1):
+        expected = sorted((c for c in every[d] if cx.is_critical(c)), key=Cell.sort_key)
+        assert cx.critical_cells(d) == expected, d
+    assert [len(cx.critical_cells(d)) for d in range(n + 1)] == [1, 15, 24, 4, 0]
 
 
 def test_single_edge_has_no_higher_cells():

@@ -213,6 +213,23 @@ def test_particles_below_one_exit_2():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv, culprit", [
+    (["rep-solve", "PRES", "-k", "2", "--seed", "-1"], "--seed"),
+    (["rep-solve", "PRES", "-k", "2", "--restarts", "0"], "--restarts"),
+    (["rep-solve", "PRES", "-k", "2", "--restarts", "-3"], "--restarts"),
+    (["rep-solve", "PRES", "-k", "2", "--tol", "-1"], "--tol"),
+    (["rep-solve", "PRES", "-k", "2", "--tol", "nan"], "--tol"),
+    (["rep-solve", "PRES", "-k", "2", "--tol", "inf"], "--tol"),
+    (["rep-verify", "PRES", "PRES", "--tol", "0"], "--tol"),
+])
+def test_solver_options_exit_2(tmp_path, capsys, argv, culprit):
+    # rejected before any restart is drawn, so no solve runs
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps({"generators": ["a"], "relators": [[[0, 1], [0, 1]]]}))
+    assert main([str(pres) if a == "PRES" else a for a in argv]) == 2
+    assert culprit in capsys.readouterr().err
+
+
 def test_malformed_presentation_exit_2(tmp_path):
     cases = {
         "nogen.json": ({"relators": []}, "'generators'"),

@@ -1,3 +1,6 @@
+import hashlib
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -129,27 +132,30 @@ def test_k1_every_phase_assignment_passes():
 
 
 def test_gradient_matches_finite_differences():
+    # three restarts stacked on the restart axis: each restart's loss moves
+    # only with its own matrices, along its own gradient
     rng = np.random.default_rng(17)
-    k = 2
+    k, restarts = 2, 3
     relators = [(1, 2, -1, -2, 1), (2, 2, -1)]
-    mats = [haar_unitary(k, rng) for _ in range(2)]
-    loss, grads = _loss_and_grads(relators, mats, k)
+    mats = np.array([[haar_unitary(k, rng) for _ in range(restarts)]
+                     for _ in range(2)])
+    losses, grads = _loss_and_grads(relators, mats, k)
+    assert len(losses) == restarts and grads.shape == mats.shape
     eps = 1e-7
     for gi in range(2):
-        for i in range(k):
-            for j in range(k):
-                for part, direction in ((1.0, 1.0), (1.0, 1j)):
-                    bump = np.zeros((k, k), dtype=complex)
-                    bump[i, j] = eps * direction
-                    plus = list(mats)
-                    plus[gi] = mats[gi] + bump
-                    minus = list(mats)
-                    minus[gi] = mats[gi] - bump
-                    lp = _loss_and_grads(relators, plus, k)[0]
-                    lm = _loss_and_grads(relators, minus, k)[0]
-                    numeric = (lp - lm) / (2 * eps)
-                    analytic = 2 * np.real(np.conj(direction) * grads[gi][i, j])
-                    assert abs(numeric - analytic) < 1e-5
+        for r in range(restarts):
+            for i in range(k):
+                for j in range(k):
+                    for direction in (1.0, 1j):
+                        bump = np.zeros_like(mats)
+                        bump[gi, r, i, j] = eps * direction
+                        lp = _loss_and_grads(relators, mats + bump, k)[0]
+                        lm = _loss_and_grads(relators, mats - bump, k)[0]
+                        numeric = [(p - m) / (2 * eps) for p, m in zip(lp, lm)]
+                        analytic = 2 * np.real(np.conj(direction) * grads[gi, r, i, j])
+                        assert abs(numeric[r] - analytic) < 1e-5
+                        assert all(abs(x) < 1e-5 for s, x in enumerate(numeric)
+                                   if s != r)
 
 
 def test_polar_retract_projects_to_unitary():
@@ -171,12 +177,139 @@ def test_solver_forced_identity():
     assert np.linalg.norm(out.assignment.matrices["a"] - EYE2) < 1e-6
 
 
+@lru_cache(maxsize=None)
+def theta4_outcome(k: int):
+    return bf.solve_representation(theta4_group(), k, seed=0)
+
+
 def test_solver_theta4_seed0():
-    out = bf.solve_representation(theta4_group(), 2, seed=0)
+    out = theta4_outcome(2)
     assert out.report.max_deviation < 1e-8
     # independent re-verification
     re = bf.verify_representation(theta4_group(), out.assignment, tol=1e-8)
     assert re.passed
+
+
+# restart index and matrix bytes of the default 20-restart solve, computed
+# with the solver that ran each restart on its own
+@pytest.mark.parametrize("k, restart, digest", [
+    (2, 13, "9b24e7301105a9dc7cc9b74f20ddc8a84c926ab37b2c323338530510133281c9"),
+    (3, 8, "33b50e287a4affd67d22446d25e347604d0f8b5c49df3e8c168763c051c3fdfa"),
+])
+def test_solver_answer_pinned(k, restart, digest):
+    out = theta4_outcome(k)
+    h = hashlib.sha256()
+    for g in theta4_group().generators:
+        h.update(out.assignment.matrices[g].tobytes())
+    assert (out.restart, h.hexdigest()) == (restart, digest)
+
+
+def test_solver_records_every_restart():
+    out = theta4_outcome(2)
+    opts = SolveOptions()
+    assert len(out.restart_residuals) == len(out.restart_iterations) == opts.restarts
+    # the stopping iterations of the solver that ran each restart on its
+    # own; five hit the cap
+    assert out.restart_iterations == [317, 2000, 58, 33, 73, 2000, 39, 32, 2000, 2000,
+                                      77, 30, 19, 19, 22, 41, 1570, 15, 66, 2000]
+    assert out.restart_residuals[out.restart] == min(out.restart_residuals)
+    # and their final losses, bit for bit
+    assert hashlib.sha256(np.array(out.restart_residuals).tobytes()).hexdigest() == \
+        "9f254b5756f3ef2670ceb73c01ba2a9f27e2ed8ee7294453414a310ec2c8235d"
+    for res, it in zip(out.restart_residuals, out.restart_iterations):
+        assert it == opts.iterations or res < (opts.tol * 0.1) ** 2
+
+
+def _reference_solve(p, k, seed, opts):
+    """The solver before the restarts were stacked: each restart descends on
+    its own over 2-D matrices.  Returns the chosen restart, its retracted
+    matrices and each restart's final loss and stopping iteration."""
+    def loss_and_grads(mats):
+        loss = 0.0
+        grads = [np.zeros((k, k), dtype=complex) for _ in mats]
+        eye = np.eye(k)
+        for rel in p.relators:
+            letters = [(abs(x) - 1, x > 0) for x in rel]
+            factors = [mats[g] if pos else mats[g].conj().T for g, pos in letters]
+            prefix = [eye]
+            for f in factors:
+                prefix.append(prefix[-1] @ f)
+            suffix = [eye]
+            for f in reversed(factors):
+                suffix.append(f @ suffix[-1])
+            suffix.reverse()
+            m = prefix[-1] - eye
+            loss += float(np.linalg.norm(m) ** 2)
+            for j, (g, pos) in enumerate(letters):
+                y = prefix[j].conj().T @ m @ suffix[j + 1].conj().T
+                grads[g] += y if pos else y.conj().T
+        return loss, grads
+
+    runs = []
+    for i in range(opts.restarts):
+        rng = np.random.default_rng(seed + i)
+        mats = [haar_unitary(k, rng) for _ in p.generators]
+        stop = opts.iterations
+        for it in range(opts.iterations):
+            loss, grads = loss_and_grads(mats)
+            if loss < (opts.tol * 0.1) ** 2:
+                stop = it
+                break
+            eta = opts.step / (1.0 + opts.step_decay * it)
+            mats = [polar_retract(m - eta * g) for m, g in zip(mats, grads)]
+        runs.append((loss_and_grads(mats)[0], stop, mats))
+    best = min(range(opts.restarts), key=lambda i: (runs[i][0], i))
+    return (best, [polar_retract(m) for m in runs[best][2]],
+            [r[0] for r in runs], [r[1] for r in runs])
+
+
+@pytest.mark.parametrize("fp, k, seed", [
+    (theta4_group(), 2, 7),
+    (theta4_group(), 3, 2),
+    (FPGroup(("a",), ((1, 1),)), 2, 0),
+    (FPGroup(("a", "b"), ((1, 2, -1, -2), (1, 1, 1))), 1, 4),
+    (FPGroup(("a", "b"), ((1, 2, -1, -2), (1, 1, 1))), 3, 9),
+])
+def test_solver_matches_per_restart_reference(fp, k, seed):
+    # same arithmetic per restart, so the same bits; in the theta cases some
+    # restarts leave the stack early and others run to the cap
+    opts = SolveOptions(restarts=5, iterations=150, tol=1e-3)
+    out = bf.solve_representation(fp, k, seed=seed, opts=opts)
+    best, mats, residuals, iterations = _reference_solve(fp, k, seed, opts)
+    assert (out.restart, out.restart_residuals, out.restart_iterations) == \
+        (best, residuals, iterations)
+    for g, m in zip(fp.generators, mats):
+        assert out.assignment.matrices[g].tobytes() == m.tobytes()
+
+
+def test_solver_empty_relator_and_no_generators():
+    # an empty relator holds everywhere; without generators nothing is solved
+    for fp in (FPGroup((), ((),)), FPGroup(("a",), ((), (1, 1)))):
+        out = bf.solve_representation(fp, 2, seed=3, opts=SolveOptions(restarts=5))
+        assert out.report.passed
+        assert sorted(out.assignment.matrices) == list(fp.generators)
+
+
+def test_solver_huge_tolerance_accepts_the_start():
+    # (tol / 10)^2 overflows a float; every restart stops at iteration 0
+    out = bf.solve_representation(theta4_group(), 2, seed=0,
+                                  opts=SolveOptions(restarts=2, tol=1e300))
+    assert out.report.passed and out.restart_iterations == [0, 0]
+
+
+@pytest.mark.parametrize("seed, opts, culprit", [
+    (-1, SolveOptions(), "seed"),
+    (0, SolveOptions(restarts=0), "restarts"),
+    (0, SolveOptions(restarts=-2), "restarts"),
+    (0, SolveOptions(iterations=-1), "iterations"),
+    (0, SolveOptions(tol=-1.0), "tol"),
+    (0, SolveOptions(tol=0.0), "tol"),
+    (0, SolveOptions(tol=float("nan")), "tol"),
+    (0, SolveOptions(tol=float("inf")), "tol"),
+])
+def test_solver_rejects_bad_options(seed, opts, culprit):
+    with pytest.raises(ValidationError, match=culprit):
+        bf.solve_representation(theta4_group(), 2, seed=seed, opts=opts)
 
 
 def test_solver_deterministic():
