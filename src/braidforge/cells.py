@@ -12,6 +12,10 @@ all blocked and whose edges are all non-order-respecting.
 `critical_cells` generates the critical cells directly from that rule, in
 any dimension up to N.  The full enumeration `cells` remains only for the
 `cells` command, the 1-skeleton oracle and `validate_matching`.
+
+`classify` keeps no memo of its own.  On the rewrite path every 1-cell's
+flow image is computed once per complex and kept in `flow_cache`, so each
+distinct cell is classified there once.
 """
 
 from __future__ import annotations
@@ -99,8 +103,8 @@ class CubeComplex:
             check_subdivision(og.source, n).require()
         self.og = og
         self.n = n
-        self._classify_cache: dict[Cell, MorseClass] = {}
-        # redundant 1-cell -> its image under the Morse flow (morse.rewrite_word)
+        self._edge_set = frozenset(og.edges)
+        # every 1-cell the Morse flow visits -> its image (morse.rewrite_word)
         self.flow_cache: dict[Cell, CellWord] = {}
 
     # -- basic predicates ---------------------------------------------------
@@ -110,7 +114,7 @@ class CubeComplex:
             return False
         used: set[int] = set()
         for e in cell.edges:
-            if e not in self.og.edges and (e[1], e[0]) not in self.og.edges:
+            if e not in self._edge_set:
                 return False
             if e[0] in used or e[1] in used:
                 return False
@@ -120,19 +124,6 @@ class CubeComplex:
                 return False
             used.add(v)
         return True
-
-    def _occupied(self, cell: Cell) -> set[int]:
-        occ = set(cell.vertices)
-        for e in cell.edges:
-            occ.update(e)
-        return occ
-
-    def is_blocked(self, v: int, cell: Cell) -> bool:
-        """The root is blocked by convention; otherwise v is blocked when the
-        parent vertex is occupied, so e(v) would collide."""
-        if v == self.og.root:
-            return True
-        return self.og.parent[v] in self._occupied(cell)
 
     def is_order_respecting(self, e: Edge, cell: Cell) -> bool:
         """Deleted edges never respect the order; a tree edge fails when a
@@ -144,14 +135,17 @@ class CubeComplex:
                        for v in cell.vertices)
 
     def is_critical(self, cell: Cell) -> bool:
-        return (all(self.is_blocked(v, cell) for v in cell.vertices)
+        return (self.lowest_unblocked(cell) is None
                 and not any(self.is_order_respecting(e, cell) for e in cell.edges))
 
     def lowest_unblocked(self, cell: Cell) -> int | None:
-        for v in cell.vertices:
-            if not self.is_blocked(v, cell):
-                return v
-        return None
+        """The lowest vertex of `cell` that is not blocked, or None.  The root
+        is blocked by convention; otherwise v is blocked when the parent
+        vertex is occupied, so e(v) would collide."""
+        occupied = set(cell.vertices).union(*cell.edges)
+        parent, root = self.og.parent, self.og.root
+        return next((v for v in cell.vertices
+                     if v != root and parent[v] not in occupied), None)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -235,25 +229,10 @@ class CubeComplex:
         return cls.partner
 
     def classify(self, cell: Cell) -> MorseClass:
-        got = self._classify_cache.get(cell)
-        if got is not None:
-            return got
-        cls = self._classify(cell)
-        self._classify_cache[cell] = cls
-        return cls
-
-    def _classify(self, cell: Cell) -> MorseClass:
         if not self.is_valid_cell(cell):
             raise ValidationError(f"{cell} is not a valid {self.n}-particle cell")
         if self.is_critical(cell):
             return MorseClass(CRITICAL)
-        if cell.dim == 0:
-            v = self.lowest_unblocked(cell)
-            if v is None:
-                raise MatchingError(
-                    f"0-cell {cell} is neither critical nor redundant; "
-                    "matching is broken (tree or order invalid)")
-            return MorseClass(REDUNDANT, self._replace_vertex(cell, v))
         preimage = self._matching_preimage(cell)
         if preimage is not None:
             return MorseClass(COLLAPSIBLE, preimage)
@@ -280,10 +259,8 @@ class CubeComplex:
                          cell.vertices + (e[1],))
             if self.lowest_unblocked(facet) != e[1]:
                 continue
-            if facet.dim == 0:
-                if self.is_critical(facet):
-                    continue
-            elif self.classify(facet).kind != REDUNDANT:
+            # such a facet is not critical; a 0-cell one is thus redundant
+            if facet.dim and self.classify(facet).kind != REDUNDANT:
                 continue
             if found is not None:
                 raise MatchingError(
@@ -362,21 +339,23 @@ class CubeComplex:
         injectivity of the 1-2 matching, and acyclicity of the flow."""
         self.assert_unique_critical_zero_cell()
         zero, one, two = self.cells(0), self.cells(1), self.cells(2)
+        cls = {c: self.classify(c) for c in zero + one + two}
+        of_kind = lambda cells, kind: [c for c in cells if cls[c].kind == kind]
 
-        red0 = [c for c in zero if self.classify(c).kind == REDUNDANT]
-        col1 = [c for c in one if self.classify(c).kind == COLLAPSIBLE]
-        images = [self.matching_image(c) for c in red0]
+        red0 = of_kind(zero, REDUNDANT)
+        col1 = of_kind(one, COLLAPSIBLE)
+        images = [cls[c].partner for c in red0]
         if sorted(images, key=Cell.sort_key) != sorted(col1, key=Cell.sort_key):
             raise MatchingError("matching is not a bijection from redundant "
                                 "0-cells onto collapsible 1-cells")
         if len(set(images)) != len(images):
             raise MatchingError("matching not injective on 0-cells")
 
-        red1 = [c for c in one if self.classify(c).kind == REDUNDANT]
-        col2 = [c for c in two if self.classify(c).kind == COLLAPSIBLE]
+        red1 = of_kind(one, REDUNDANT)
+        col2 = of_kind(two, COLLAPSIBLE)
         img1 = {}
         for c in red1:
-            t = self.matching_image(c)
+            t = cls[c].partner
             if t in img1:
                 raise MatchingError(f"matching not injective: {img1[t]} and {c}")
             img1[t] = c
@@ -389,8 +368,7 @@ class CubeComplex:
             red_set = set(redundant)
             succ = {}
             for c in redundant:
-                t = self.matching_image(c)
-                succ[c] = [d for d in down(t) if d != c and d in red_set]
+                succ[c] = [d for d in down(cls[c].partner) if d != c and d in red_set]
             state: dict[Cell, int] = {}
 
             def visit(c):

@@ -3,9 +3,11 @@
 The discrete gradient flow is a homomorphism of free groups: a critical
 1-cell maps to itself, a collapsible one to the empty word, and a redundant
 one to the image of the rest of the boundary square it is matched with.
-The image of a word is the free reduction of its letters' images.  Each
-redundant cell's image is computed once and kept in the complex's
-`flow_cache`, so every relator, loop image and stability lift shares it.
+The image of a word is the free reduction of its letters' images.  Every
+1-cell's image is computed once per complex and kept in the complex's
+`flow_cache`, the one memo on the rewrite path, so every relator, loop image
+and stability lift shares it; a cell is classified only when it first
+enters that memo.
 """
 
 from __future__ import annotations
@@ -69,26 +71,27 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
 
     def image(cell: Cell, sign: int) -> CellWord:
         nonlocal expansions
-        cls = cx.classify(cell)
-        if cls.kind == CRITICAL:
-            return ((cell, sign),)
-        if cls.kind == COLLAPSIBLE:
-            return ()
         got = cx.flow_cache.get(cell)
         if got is None:
-            if cell in open_cells:
-                raise MatchingError(
-                    f"the matching flow returns to {cell} while expanding it; "
-                    "the matching has a cycle")
-            expansions += 1
-            if expansions > max_steps:
-                raise RewriteLimitError(
-                    f"rewriting exceeded the bound of {max_steps} flow "
-                    "expansions (raise --max-steps only if you are sure)")
-            open_cells.add(cell)
-            got = _free_reduce(x for letter in _square_rest(cx, cell, cls.partner)
-                               for x in image(*letter))
-            open_cells.discard(cell)
+            cls = cx.classify(cell)
+            if cls.kind == CRITICAL:
+                got = ((cell, 1),)
+            elif cls.kind == COLLAPSIBLE:
+                got = ()
+            else:
+                if cell in open_cells:
+                    raise MatchingError(
+                        f"the matching flow returns to {cell} while expanding it; "
+                        "the matching has a cycle")
+                expansions += 1
+                if expansions > max_steps:
+                    raise RewriteLimitError(
+                        f"rewriting exceeded the bound of {max_steps} flow "
+                        "expansions (raise --max-steps only if you are sure)")
+                open_cells.add(cell)
+                got = _free_reduce(x for letter in _square_rest(cx, cell, cls.partner)
+                                   for x in image(*letter))
+                open_cells.discard(cell)
             cx.flow_cache[cell] = got
         return got if sign > 0 else inverse_word(got)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NoRepresentationFound, ValidationError, json_int
 from .presentation import FPGroup
+from .words import free_reduce
 
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-6      # eigenvalues this close form one cluster
@@ -272,10 +273,7 @@ class LocallyAbelianAnsatz:
 
 
 def _normalize_constraint(vec) -> tuple[int, ...] | None:
-    from math import gcd
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    g = math.gcd(*vec)
     if g == 0:
         return None
     out = [x // g for x in vec]
@@ -305,20 +303,17 @@ def locally_abelian_solve(pp) -> LocallyAbelianAnsatz:
     seen: set[tuple[int, ...]] = set()
     for origin, rel in pp.relators:
         phases = [0] * len(y_idx)
-        o_word: list[int] = []
+        o_letters: list[int] = []
         for x in rel:
             gi = abs(x) - 1
             if gi in y_pos:
                 phases[y_pos[gi]] += 1 if x > 0 else -1
             else:
                 j = o_pos[gi] + 1
-                letter = j if x > 0 else -j
-                if o_word and o_word[-1] == -letter:
-                    o_word.pop()
-                else:
-                    o_word.append(letter)
+                o_letters.append(j if x > 0 else -j)
+        o_word = free_reduce(o_letters)
         if o_word:
-            residual.append((origin, tuple(phases), tuple(o_word)))
+            residual.append((origin, tuple(phases), o_word))
             continue
         norm = _normalize_constraint(phases)
         if norm is None:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from itertools import combinations
 
@@ -7,7 +8,8 @@ import pytest
 import braidforge as bf
 from braidforge.cells import (COLLAPSIBLE, CRITICAL, REDUNDANT, Cell,
                               letter_endpoints)
-from braidforge.errors import MatchingError, SubdivisionError
+from braidforge.errors import MatchingError, SubdivisionError, ValidationError
+from braidforge.morse import rewrite_word
 
 from helpers import (E18, E59, E111, cell, complete_bipartite_33,
                      complete_graph, complex_for, graph, og, theta_cells)
@@ -150,6 +152,20 @@ def test_matching_image_examples():
     assert cx.matching_image(cell([E59], [4])) == cell([E59, (3, 4)], [])
     with pytest.raises(MatchingError):
         cx.matching_image(Cell((), (1, 2)))    # critical
+
+
+def test_reversed_edge_is_not_a_cell():
+    # edges are (tau, iota) pairs; the reversed pair names no edge, so the
+    # cell is refused rather than classified under the wrong orientation
+    cx = bf.CubeComplex(og("theta"), 2)
+    bad = cell([(2, 1)], [5])
+    assert cx.is_valid_cell(cell([(1, 2)], [5]))
+    assert not cx.is_valid_cell(bad)
+    with pytest.raises(ValidationError, match=re.escape(str(bad))):
+        cx.classify(bad)
+    with pytest.raises(ValidationError, match=re.escape(str(bad))):
+        rewrite_word(cx, ((bad, 1),))
+    assert cx.flow_cache == {}
 
 
 def test_matching_validation_all_fixtures():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import re
@@ -92,9 +93,23 @@ def test_rewrite_step_bound():
         rewrite_word(complex_for("theta", 3), word).output
 
 
-def _rescanning_rewrite(cx, word):
+def test_rewrite_step_bound_counts_only_redundant_expansions():
+    # critical and collapsible letters enter flow_cache on a fresh complex
+    # too, but only a redundant cell's expansion counts against the bound
+    cx = bf.CubeComplex(og("theta"), 2)
+    c = theta_cells(2)
+    path = cx.path_to_base({9, 10})
+    word = path + ((c["g"], 1), (c["a1"], -1)) + inverse_word(path)
+    out = rewrite_word(cx, word, max_steps=0)
+    assert out.output == ((c["g"], 1), (c["a1"], -1))
+    assert set(cx.flow_cache) == {cell for cell, _ in word}
+
+
+def _rescanning_rewrite(cx, word, classify):
     """Reference: apply free cancellation, collapse and the simple homotopy,
-    leftmost first in that priority order, until none applies."""
+    leftmost first in that priority order, until none applies.  `classify`
+    is `cx.classify` memoized by the caller: the complex keeps no
+    classification memo, and every pass rescans the whole word."""
     current = list(word)
     while True:
         j = next((j for j in range(len(current) - 1)
@@ -102,13 +117,13 @@ def _rescanning_rewrite(cx, word):
         if j is not None:
             del current[j:j + 2]
             continue
-        kinds = [cx.classify(c).kind for c, _ in current]
+        kinds = [classify(c).kind for c, _ in current]
         if "collapsible" in kinds:
             del current[kinds.index("collapsible")]
         elif "redundant" in kinds:
             j = kinds.index("redundant")
             sigma, sign = current[j]
-            boundary = cx.boundary_word(cx.matching_image(sigma))
+            boundary = cx.boundary_word(classify(sigma).partner)
             i = next(i for i, (c, _) in enumerate(boundary) if c == sigma)
             rest = boundary[i + 1:] + boundary[:i]
             current[j:j + 1] = rest if boundary[i][1] * sign < 0 else inverse_word(rest)
@@ -120,10 +135,12 @@ def test_flow_matches_rescanning_reference():
     cases = [complex_for("theta", 3), complex_for("theta", 4),
              bf.CubeComplex(bf.ordered(bf.subdivide_for(complete_graph(4), 3)), 3)]
     for cx in cases:
+        classify = functools.cache(cx.classify)
         words = [cx.boundary_word(tau) for tau in cx.cells(2)]
         words += [u + inverse_word(v) for u, v in zip(words, words[7::3])]
         for word in words:
-            assert rewrite_word(cx, word).output == _rescanning_rewrite(cx, word)
+            assert rewrite_word(cx, word).output == \
+                _rescanning_rewrite(cx, word, classify)
 
 
 class _CyclicComplex:

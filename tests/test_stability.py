@@ -1,10 +1,14 @@
+import warnings
+from itertools import combinations
+
 import pytest
 
 import braidforge as bf
 from braidforge.errors import ValidationError
 from braidforge.stability import critical_cell_size, plus_cell, plus_word
 
-from helpers import E59, cell, complex_for, morse, og, theta_cells
+from helpers import (E59, cell, complete_bipartite_33, complete_graph,
+                     complex_for, morse, og, theta_cells)
 
 
 def test_plus_cell_examples():
@@ -75,6 +79,53 @@ def test_stability_report_through_five():
     assert rows[5].lifting_ok
     assert rows[5].new_relators == 4
     assert rows[5].minimized_generators == 3
+
+
+def _three_connected(g):
+    """More than three vertices, and no two of them disconnect the rest."""
+    adj = {v: set() for v in g.vertices}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for cut in combinations(g.vertices, 2):
+        rest = set(g.vertices) - set(cut)
+        seen, stack = set(), [min(rest)]
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(adj[v] & rest)
+        if seen != rest:
+            return False
+    return len(g.vertices) > 3
+
+
+@pytest.mark.parametrize("graph, planar, n_hi", [
+    (complete_graph(4), True, 5),
+    (complete_graph(5), False, 4),
+    (complete_bipartite_33(), False, 4),
+], ids=["K4", "K5", "K33"])
+def test_h1_independent_of_n_ko_park(graph, planar, n_hi):
+    """Ko & Park, "Characteristics of graph braid groups", Discrete Comput.
+    Geom. 48 (2012), compute H1 of the unordered n-strand braid group of a
+    finite connected graph for n >= 2.  The n-dependent part comes from the
+    graph's 1-cuts only, so a 2-connected graph's H1 is the same for every
+    n >= 2.  A 3-connected graph has no 2-cuts either and is its own single
+    3-connected component; its H1 is Z^(beta1 + 1) when it is planar and
+    Z^beta1 (+) Z_2 when it is not.  K4, K5 and K3,3 are 3-connected
+    (checked here); K4 is planar, K5 and K3,3 are Kuratowski's non-planar
+    graphs.  The discretized complex carries that braid group once the
+    graph is subdivided enough for the largest n, and subdivision leaves
+    beta1 unchanged, so each graph goes through `subdivide_for` once."""
+    assert _three_connected(graph)
+    beta1 = len(graph.edges) - len(graph.vertices) + 1
+    expected = f"Z^{beta1 + 1}" if planar else f"Z^{beta1} (+) Z_2"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        o = bf.ordered(bf.subdivide_for(graph, n_hi))
+    report = bf.stability_report(o, 2, n_hi)
+    assert [(r.n, r.h1) for r in report.rows] == \
+        [(n, expected) for n in range(2, n_hi + 1)]
 
 
 def test_stability_report_path_trivial():
