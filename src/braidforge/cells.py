@@ -9,6 +9,10 @@ replacing its lowest unblocked vertex v by the parent edge e(v); critical
 cells, which survive into the quotient complex, are those whose vertices are
 all blocked and whose edges are all non-order-respecting.
 
+A `Cell` is a tuple (edges, vertices) of sorted tuples, hashed and compared
+in C.  `Cell()` sorts its parts; cells derived from sorted ones insert their
+one new vertex or edge in order and skip the sort through `_cell`.
+
 `critical_cells` generates the critical cells directly from that rule, in
 any dimension up to N.  The full enumeration `cells` remains only for the
 `cells` command, the 1-skeleton oracle and `validate_matching`.
@@ -21,8 +25,10 @@ distinct cell is classified there once.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import MatchingError, ValidationError
 from .graph import Edge, OrderedGraph, check_subdivision
@@ -30,22 +36,20 @@ from .graph import Edge, OrderedGraph, check_subdivision
 Config = frozenset[int]
 
 
-@dataclass(frozen=True)
-class Cell:
-    edges: tuple[Edge, ...]
-    vertices: tuple[int, ...]
+class Cell(tuple):
+    """An immutable pair (edges, vertices) of sorted tuples."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
+    def __new__(cls, edges, vertices):
+        return tuple.__new__(cls, (tuple(sorted(edges)), tuple(sorted(vertices))))
 
-    @property
-    def dim(self) -> int:
-        return len(self.edges)
+    def __getnewargs__(self):
+        return tuple(self)
 
-    @property
-    def n(self) -> int:
-        return len(self.edges) + len(self.vertices)
+    edges = property(itemgetter(0))
+    vertices = property(itemgetter(1))
+    dim = property(lambda self: len(self[0]))
+    n = property(lambda self: len(self[0]) + len(self[1]))
 
     def sort_key(self):
         return (self.edges, self.vertices)
@@ -54,6 +58,17 @@ class Cell:
         parts = [f"e({a},{b})" for a, b in self.edges]
         parts += [str(v) for v in self.vertices]
         return "{" + ",".join(parts) + "}"
+
+
+def _cell(edges: tuple[Edge, ...], vertices: tuple[int, ...]) -> Cell:
+    """A cell from parts the caller has already sorted."""
+    return tuple.__new__(Cell, (edges, vertices))
+
+
+def _inserted(items: tuple, x) -> tuple:
+    """The sorted tuple `items` with `x` inserted in order."""
+    i = bisect_left(items, x)
+    return items[:i] + (x,) + items[i:]
 
 
 Letter = tuple[Cell, int]
@@ -104,6 +119,9 @@ class CubeComplex:
         self.og = og
         self.n = n
         self._edge_set = frozenset(og.edges)
+        # tree edge (tau, iota) -> the children v of tau with tau < v < iota
+        self._witnesses = {(t, i): frozenset(v for v in og.children[t] if t < v < i)
+                           for t, i in og.tree}
         # every 1-cell the Morse flow visits -> its image (morse.rewrite_word)
         self.flow_cache: dict[Cell, CellWord] = {}
 
@@ -127,24 +145,23 @@ class CubeComplex:
 
     def is_order_respecting(self, e: Edge, cell: Cell) -> bool:
         """Deleted edges never respect the order; a tree edge fails when a
-        strictly smaller sibling of iota(e) sits in the cell."""
-        if e not in self.og.tree:
-            return False
-        tau, iota = e
-        return not any(self.og.parent.get(v) == tau and tau < v < iota
-                       for v in cell.vertices)
+        strictly smaller sibling of iota(e) sits in the cell.  `cell` may be
+        any (edges, vertices) pair."""
+        witnesses = self._witnesses.get(e)
+        return witnesses is not None and witnesses.isdisjoint(cell[1])
 
     def is_critical(self, cell: Cell) -> bool:
         return (self.lowest_unblocked(cell) is None
                 and not any(self.is_order_respecting(e, cell) for e in cell.edges))
 
     def lowest_unblocked(self, cell: Cell) -> int | None:
-        """The lowest vertex of `cell` that is not blocked, or None.  The root
-        is blocked by convention; otherwise v is blocked when the parent
-        vertex is occupied, so e(v) would collide."""
-        occupied = set(cell.vertices).union(*cell.edges)
+        """The lowest unblocked vertex of a cell or sorted (edges, vertices)
+        pair, or None.  The root is blocked by convention; otherwise v is
+        blocked when the parent vertex is occupied, so e(v) would collide."""
+        edges, vertices = cell
+        occupied = set(vertices).union(*edges)
         parent, root = self.og.parent, self.og.root
-        return next((v for v in cell.vertices
+        return next((v for v in vertices
                      if v != root and parent[v] not in occupied), None)
 
     # -- enumeration ---------------------------------------------------------
@@ -175,7 +192,7 @@ class CubeComplex:
         for es, used in self._matchings(self.og.edges, dim):
             free = [v for v in verts if v not in used]
             for vs in combinations(free, self.n - dim):
-                out.append(Cell(es, vs))
+                out.append(_cell(es, vs))
         out.sort(key=Cell.sort_key)
         return out
 
@@ -201,21 +218,18 @@ class CubeComplex:
         canonical order, generated without enumerating the other cells: all
         vertices blocked, and every tree edge (tau, iota) witnessed by a cell
         vertex v with parent(v) = tau and tau < v < iota.  A tree edge whose
-        tau has no such child can never be witnessed, so only the deleted
-        edges and the other tree edges are matched."""
+        tau has no such child has no witness, so only the deleted edges and
+        the other tree edges are matched."""
         if dim < 0:
             raise ValueError("dimension must be >= 0")
         if dim > self.n:
             return []
-        og = self.og
-        edges = tuple(e for e in og.edges
-                      if e not in og.tree or min(og.children[e[0]]) < e[1])
+        edges = tuple(e for e in self.og.edges if self._witnesses.get(e, True))
         out = []
         for es, used in self._matchings(edges, dim):
             for vs in self._blocked_vertex_sets(used, self.n - dim):
-                cell = Cell(es, vs)
-                if not any(self.is_order_respecting(e, cell) for e in es):
-                    out.append(cell)
+                if not any(self.is_order_respecting(e, (es, vs)) for e in es):
+                    out.append(_cell(es, vs))
         out.sort(key=Cell.sort_key)
         return out
 
@@ -231,12 +245,12 @@ class CubeComplex:
     def classify(self, cell: Cell) -> MorseClass:
         if not self.is_valid_cell(cell):
             raise ValidationError(f"{cell} is not a valid {self.n}-particle cell")
-        if self.is_critical(cell):
+        v = self.lowest_unblocked(cell)
+        if v is None and not any(self.is_order_respecting(e, cell) for e in cell.edges):
             return MorseClass(CRITICAL)
         preimage = self._matching_preimage(cell)
         if preimage is not None:
             return MorseClass(COLLAPSIBLE, preimage)
-        v = self.lowest_unblocked(cell)
         if v is None:
             raise MatchingError(
                 f"{cell.dim}-cell {cell} is neither critical, collapsible nor "
@@ -244,29 +258,30 @@ class CubeComplex:
         return MorseClass(REDUNDANT, self._replace_vertex(cell, v))
 
     def _replace_vertex(self, cell: Cell, v: int) -> Cell:
-        return Cell(cell.edges + (self.og.parent_edge(v),),
-                    tuple(u for u in cell.vertices if u != v))
+        return _cell(_inserted(cell.edges, self.og.parent_edge(v)),
+                     tuple(u for u in cell.vertices if u != v))
 
     def _matching_preimage(self, cell: Cell) -> Cell | None:
         """The unique redundant facet mapped onto `cell`, if any: drop a tree
         edge e, put back iota(e), and require that iota(e) is the lowest
-        unblocked vertex of the resulting redundant cell."""
+        unblocked vertex of the resulting redundant cell.  `cell` may be any
+        sorted (edges, vertices) pair; facets stay raw pairs until found."""
+        edges, vertices = cell
         found = None
-        for e in cell.edges:
+        for i, e in enumerate(edges):
             if e not in self.og.tree:
                 continue
-            facet = Cell(tuple(x for x in cell.edges if x != e),
-                         cell.vertices + (e[1],))
+            facet = (edges[:i] + edges[i + 1:], _inserted(vertices, e[1]))
             if self.lowest_unblocked(facet) != e[1]:
                 continue
-            # such a facet is not critical; a 0-cell one is thus redundant
-            if facet.dim and self.classify(facet).kind != REDUNDANT:
+            # not critical, so redundant unless it is itself collapsible
+            if facet[0] and self._matching_preimage(facet) is not None:
                 continue
             if found is not None:
                 raise MatchingError(
-                    f"matching not injective: {found} and {facet} "
-                    f"both map to {cell}")
-            found = facet
+                    f"matching not injective: {found} and {_cell(*facet)} "
+                    f"both map to {_cell(*cell)}")
+            found = _cell(*facet)
         return found
 
     # -- boundary ------------------------------------------------------------
@@ -279,9 +294,9 @@ class CubeComplex:
         canonical worked examples letter for letter."""
         if cell.dim != 2:
             raise ValueError("boundary words are defined for 2-cells")
-        e_small, e_big = sorted(cell.edges)
+        e_small, e_big = cell.edges
         vs = cell.vertices
-        mk = lambda e, v: Cell((e,), vs + (v,))
+        mk = lambda e, v: _cell((e,), _inserted(vs, v))
         return (
             (mk(e_small, e_big[0]), +1),
             (mk(e_big, e_small[0]), -1),
@@ -302,26 +317,26 @@ class CubeComplex:
         """Word of collapsible 1-cells from the base configuration {1..n} to
         `config`, obtained by reversing the falling path of the matching."""
         config = frozenset(config)
-        cell = Cell((), tuple(config))
-        if not self.is_valid_cell(cell):
+        cur = Cell((), config)
+        if not self.is_valid_cell(cur):
             raise ValidationError(f"{sorted(config)} is not a configuration")
         bound = math.comb(self.og.n, self.n) + 1
+        base = tuple(range(1, self.n + 1))
         falling: list[Letter] = []
-        cur = config
         steps = 0
-        while cur != self.base_config:
+        while cur.vertices != base:
             steps += 1
             if steps > bound:
                 raise MatchingError("falling path does not reach the base; "
                                     "matching is broken")
-            c = Cell((), tuple(cur))
-            v = self.lowest_unblocked(c)
+            v = self.lowest_unblocked(cur)
             if v is None:
                 raise MatchingError(
-                    f"configuration {sorted(cur)} is fully blocked but is not "
-                    "the base; the critical 0-cell is not unique")
-            falling.append((self._replace_vertex(c, v), +1))
-            cur = (cur - {v}) | {self.og.parent[v]}
+                    f"configuration {list(cur.vertices)} is fully blocked but "
+                    "is not the base; the critical 0-cell is not unique")
+            step = self._replace_vertex(cur, v)
+            falling.append((step, +1))
+            cur = _cell((), _inserted(step.vertices, self.og.parent[v]))
         return inverse_word(tuple(falling))
 
     # -- validation -----------------------------------------------------------

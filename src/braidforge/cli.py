@@ -478,6 +478,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "particles", 1) < 1:
             raise ValidationError(f"-n/--particles must be at least 1, got {args.particles}")
+        if getattr(args, "max_steps", 0) < 0:
+            raise ValidationError(f"--max-steps must be at least 0, got {args.max_steps}")
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be at least 0, got {args.seed}")
         if getattr(args, "restarts", 1) < 1:

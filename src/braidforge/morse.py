@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .cells import (COLLAPSIBLE, CRITICAL, REDUNDANT, Cell, CellWord,
                     CubeComplex, inverse_word, word_str)
-from .errors import MatchingError, RewriteLimitError
+from .errors import MatchingError, RewriteLimitError, ValidationError
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -66,6 +66,8 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
     holds the move applied to each input letter and each free cancellation
     of the final reduction; `max_steps` bounds the redundant cells whose
     image this call has to expand."""
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be at least 0, got {max_steps}")
     expansions = 0
     open_cells: set[Cell] = set()
 

@@ -1,5 +1,6 @@
 """Shared builders and golden theta-graph cells for the test suite."""
 
+import math
 from functools import lru_cache
 
 import braidforge as bf
@@ -120,3 +121,18 @@ def complete_bipartite_33() -> bf.Graph:
         "root": 1,
         "rotation": {str(v): ([2, 4, 6] if v % 2 else [1, 3, 5])
                      for v in range(1, 7)}})
+
+
+def gal_euler_characteristic(g: bf.Graph, n: int) -> int:
+    """Euler characteristic of the n-particle unordered configuration space
+    of a graph: the t^n coefficient of prod_v (1 - (deg v - 1) t) / (1 - t)^|E|
+    (Gal, 2001).  A loop adds 2 to its vertex's degree; subdividing an edge
+    multiplies numerator and denominator by (1 - t), so any subdivision of
+    `g` gives the same value."""
+    poly = [1]
+    for v in g.vertices:
+        a = 1 - sum(e.count(v) for e in g.edges)
+        poly = [x + a * y for x, y in zip(poly + [0], [0] + poly)]
+    m = len(g.edges)
+    return sum(c * math.comb(n - i + m - 1, m - 1)
+               for i, c in enumerate(poly[:n + 1]))

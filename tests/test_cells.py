@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import random
 import re
 import warnings
 from itertools import combinations
@@ -6,13 +9,14 @@ from itertools import combinations
 import pytest
 
 import braidforge as bf
-from braidforge.cells import (COLLAPSIBLE, CRITICAL, REDUNDANT, Cell,
+from braidforge.cells import (COLLAPSIBLE, CRITICAL, REDUNDANT, Cell, _cell,
                               letter_endpoints)
 from braidforge.errors import MatchingError, SubdivisionError, ValidationError
 from braidforge.morse import rewrite_word
 
 from helpers import (E18, E59, E111, cell, complete_bipartite_33,
-                     complete_graph, complex_for, graph, og, theta_cells)
+                     complete_graph, complex_for, gal_euler_characteristic,
+                     graph, og, raw_theta, theta_cells)
 
 
 def test_theta_critical_one_cells_n2():
@@ -74,6 +78,41 @@ def test_critical_cells_give_euler_characteristic(g, n, per_dim, chi):
     assert cx.critical_cells(n + 1) == []
     with pytest.raises(ValueError):
         cx.critical_cells(-1)
+
+
+GAL_GRAPHS = {"theta": lambda: graph("theta"), "y": lambda: graph("y"),
+              "path": lambda: graph("path"), "lasso": lambda: graph("lasso"),
+              "raw-theta": raw_theta, "K4": lambda: complete_graph(4),
+              "K5": lambda: complete_graph(5), "K33": complete_bipartite_33}
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in ("theta", "y", "path", "lasso") for n in (1, 2, 3, 4)),
+    *(("raw-theta", n) for n in (2, 3, 4)),
+    *((name, n) for name in ("K4", "K5") for n in (2, 3, 4)),
+    *(("K33", n) for n in (2, 3)),
+])
+def test_critical_cells_give_gal_euler_characteristic(name, n):
+    # Gal's closed form depends only on the source graph's degrees and edge
+    # count, so it checks the critical cells independently of the ordering,
+    # the subdivision and the matching
+    g = GAL_GRAPHS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cx = bf.CubeComplex(bf.ordered(bf.subdivide_for(g, n)), n)
+    chi = sum((-1) ** d * len(cx.critical_cells(d)) for d in range(n + 1))
+    assert chi == gal_euler_characteristic(g, n)
+
+
+def test_gal_euler_characteristic_values():
+    assert gal_euler_characteristic(graph("theta"), 4) == -1
+    assert gal_euler_characteristic(raw_theta(), 4) == -1
+    assert gal_euler_characteristic(graph("y"), 4) == -5
+    assert gal_euler_characteristic(complete_graph(4), 4) == 6
+    assert gal_euler_characteristic(complete_bipartite_33(), 3) == 5
+    assert gal_euler_characteristic(complete_graph(5), 4) == 70
+    # one particle: the graph itself, |V| - |E|
+    assert gal_euler_characteristic(complete_graph(5), 1) == 5 - 10
 
 
 def test_critical_cells_equal_filtered_cells_in_every_dimension():
@@ -262,3 +301,80 @@ def test_cell_text_syntax():
     c = cell([E59], [1, 6])
     assert str(c) == "{e(5,9),1,6}"
     assert str(cell([E18, E59], [2, 6])) == "{e(1,8),e(5,9),2,6}"
+
+
+def test_presorted_cell_behaves_like_a_sorted_one():
+    # the private constructor skips the sort; given sorted parts its cell
+    # must be indistinguishable from Cell() over the same parts in any order
+    rng = random.Random(0)
+    cx = complex_for("theta", 3)
+    every = [c for d in (0, 1, 2) for c in cx.cells(d)]
+    built = []
+    for c in every:
+        edges, vertices = list(c.edges), list(c.vertices)
+        rng.shuffle(edges)
+        rng.shuffle(vertices)
+        public = Cell(edges, vertices)
+        fast = _cell(c.edges, c.vertices)
+        assert fast == public and not fast != public
+        assert hash(fast) == hash(public)
+        assert (str(fast), repr(fast)) == (str(public), repr(public))
+        assert fast.sort_key() == public.sort_key() == (c.edges, c.vertices)
+        assert (fast.dim, fast.n) == (public.dim, public.n) == (len(edges), 3)
+        built.append(public)
+    rng.shuffle(built)
+    assert sorted(built, key=Cell.sort_key) == sorted(every, key=Cell.sort_key)
+    assert len({*built, *every}) == len(every)
+
+
+def test_cell_is_immutable():
+    c = cell([E59], [6, 1])
+    assert c.edges == (E59,) and c.vertices == (1, 6)
+    with pytest.raises(AttributeError):
+        c.edges = ((1, 2),)
+    with pytest.raises(AttributeError):
+        c.vertices = (2, 3)
+    with pytest.raises(AttributeError):
+        c.tag = "x"
+    with pytest.raises(TypeError):
+        c[1] = (2, 3)
+    assert isinstance(c.edges, tuple) and isinstance(c.vertices, tuple)
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert type(twin) is Cell and twin == c and str(twin) == str(c)
+
+
+def _assert_sorted_cell(c):
+    assert type(c) is Cell, c
+    assert list(c.edges) == sorted(c.edges), c
+    assert list(c.vertices) == sorted(c.vertices), c
+
+
+@pytest.mark.parametrize("name, n", [("theta", 3), ("theta", 4), ("K4", 3)])
+def test_derived_cells_are_sorted(name, n):
+    # cells built from sorted ones without a sort must come out sorted too
+    if name == "K4":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cx = bf.CubeComplex(bf.ordered(bf.subdivide_for(complete_graph(4), n)), n)
+    else:
+        cx = complex_for(name, n)
+    zero, one, two = cx.cells(0), cx.cells(1), cx.cells(2)
+    for c in zero + one + two:
+        _assert_sorted_cell(c)
+    for c in zero + one:
+        v = cx.lowest_unblocked(c)
+        if v is not None:
+            _assert_sorted_cell(cx._replace_vertex(c, v))
+    for c in one + two:
+        found = cx._matching_preimage(c)
+        if found is not None:
+            _assert_sorted_cell(found)
+    for c in two:
+        for letter, _ in cx.boundary_word(c):
+            _assert_sorted_cell(letter)
+    for c in zero:
+        for letter, _ in cx.path_to_base(c.vertices):
+            _assert_sorted_cell(letter)
+    for d in (1, 2):
+        for c in cx.critical_cells(d):
+            _assert_sorted_cell(c)

@@ -213,6 +213,20 @@ def test_particles_below_one_exit_2():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["present", THETA, "-n", "2", "--max-steps", "-1"],
+    ["present", THETA, "-n", "3", "--max-steps", "-1"],
+    ["h1", THETA, "-n", "3", "--max-steps", "-5"],
+])
+def test_negative_max_steps_exit_2(tmp_path, capsys, argv):
+    # refused before any rewrite, also at n = 2 where no relator would be
+    # rewritten and the value would otherwise land in the manifest
+    out = tmp_path / "out.json"
+    assert main(argv + ["--json", str(out)]) == 2
+    assert "--max-steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, culprit", [
     (["rep-solve", "PRES", "-k", "2", "--seed", "-1"], "--seed"),
     (["rep-solve", "PRES", "-k", "2", "--restarts", "0"], "--restarts"),

@@ -8,7 +8,7 @@ import pytest
 
 import braidforge as bf
 from braidforge.cells import Cell, MorseClass, inverse_word
-from braidforge.errors import MatchingError, RewriteLimitError
+from braidforge.errors import MatchingError, RewriteLimitError, ValidationError
 from braidforge.morse import cell_word_to_indices, rewrite_word
 from braidforge.presentation import (HomologyClass, abelianization_matrix,
                                      from_morse, homology_h1, in_row_lattice)
@@ -91,6 +91,14 @@ def test_rewrite_step_bound():
     # images cached before the error stay correct
     assert rewrite_word(cx, word).output == \
         rewrite_word(complex_for("theta", 3), word).output
+
+
+def test_rewrite_step_bound_must_not_be_negative():
+    cx = bf.CubeComplex(og("theta"), 3)
+    word = cx.boundary_word(theta_cells(3)["t1"])
+    with pytest.raises(ValidationError, match="max_steps"):
+        rewrite_word(cx, word, max_steps=-1)
+    assert cx.flow_cache == {}
 
 
 def test_rewrite_step_bound_counts_only_redundant_expansions():

@@ -7,7 +7,8 @@ import braidforge as bf
 from braidforge.oracle import skeleton_presentation
 from braidforge.presentation import HomologyClass, homology_h1
 
-from helpers import complete_bipartite_33, complete_graph, complex_for, graph
+from helpers import (complete_bipartite_33, complete_graph, complex_for,
+                     gal_euler_characteristic, graph)
 
 
 def _pipeline(g, n):
@@ -159,14 +160,15 @@ def random_graphs(draw):
           "tree_edges": [[1, 2], [1, 3], [2, 4]], "root": 3})
 @example({"vertices": [1, 2, 3, 4], "edges": [[1, 2], [2, 3], [2, 4], [1, 3]],
           "tree_edges": [[1, 2], [2, 3], [2, 4]], "root": 3})
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_pipeline_random_graphs_two_particles(data):
     # end-to-end dual route on arbitrary small graphs, at two and three
     # particles: the generated critical cells must be the critical ones of
     # the full enumeration, the matching must validate and both
-    # presentations must give the same first homology.  In the first two
-    # examples subdivision once made a tree edge of a non-tree edge at the
-    # root; in the third the root arc reaches a junction after one edge.
+    # presentations must give the same first homology; the critical cells
+    # must give Gal's Euler characteristic of the input graph.  In the first
+    # two examples subdivision once made a tree edge of a non-tree edge at
+    # the root; in the third the root arc reaches a junction after one edge.
     for n in (2, 3):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -174,6 +176,8 @@ def test_pipeline_random_graphs_two_particles(data):
             og = bf.ordered(g)
         cx = bf.CubeComplex(og, n)
         _assert_critical_cells_filter_the_enumeration(cx)
+        chi = sum((-1) ** d * len(cx.critical_cells(d)) for d in range(n + 1))
+        assert chi == gal_euler_characteristic(bf.parse_graph(data), n), n
         cx.validate_matching()
         h_morse = homology_h1(bf.from_morse(bf.morse_presentation(cx)))
         h_oracle = homology_h1(skeleton_presentation(cx).group)
