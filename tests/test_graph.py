@@ -1,7 +1,12 @@
+import hashlib
+import json
+import random
+import warnings
+
 import pytest
 
 import braidforge as bf
-from braidforge.errors import GraphFormatError, SubdivisionError
+from braidforge.errors import GraphFormatError, SubdivisionError, ValidationError
 from braidforge.fixtures import load_fixture
 from braidforge.graph import check_tree_conditions, relabel_canonically
 
@@ -267,6 +272,45 @@ def test_subdivided_graph_is_canonical():
         s = bf.subdivide_for(raw_theta(), 3)
         assert s.vertices == tuple(range(1, len(s.vertices) + 1))
         assert relabel_canonically(s).edges == s.edges
+
+
+def _random_multigraph(rng: random.Random) -> dict:
+    """A random tree on 2-5 scrambled ids plus up to 4 extra edges, loops and
+    parallel edges included, rooted at a random leaf; simple graphs get a
+    random rotation half of the time."""
+    ids = rng.sample(range(1, 10), rng.randint(2, 5))
+    tree = [[v, rng.choice(ids[:i])] for i, v in enumerate(ids) if i]
+    edges = tree + [[rng.choice(ids), rng.choice(ids)] for _ in range(rng.randint(0, 4))]
+    leaves = [v for v in ids if sum(v in e for e in tree) == 1]
+    data = {"vertices": ids, "edges": edges, "tree_edges": tree,
+            "root": rng.choice(leaves)}
+    pairs = [tuple(sorted(e)) for e in edges]
+    if len(set(pairs)) == len(pairs) and all(a != b for a, b in pairs) and rng.random() < 0.5:
+        nbrs = {v: [b if a == v else a for a, b in edges if v in (a, b)] for v in ids}
+        data["rotation"] = {str(v): rng.sample(ws, len(ws)) for v, ws in nbrs.items()}
+    return data
+
+
+def test_subdivide_and_order_random_multigraphs_digest():
+    # pins subdivision and ordering, errors included, on 1,500 random
+    # multigraphs at n = 1..4
+    out = []
+    for seed in range(1500):
+        rng = random.Random(seed)
+        data, n = _random_multigraph(rng), rng.randint(1, 4)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                s = bf.subdivide_for(bf.parse_graph(data), n)
+                o = bf.ordered(s)
+            out.append([s.to_json_dict(), sorted(o.parent.items()),
+                        sorted(o.children.items()), sorted(o.original_id.items()),
+                        o.edges, o.deleted])
+        except ValidationError as exc:
+            out.append([type(exc).__name__, str(exc)])
+    blob = json.dumps(out, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "608c8117a6afca0ac137d7252936f64398091649cd8dd5fe1cb8eb04e890f023"
 
 
 # -- tree conditions -----------------------------------------------------------
