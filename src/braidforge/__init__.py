@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .cells import Cell, CubeComplex
 from .graph import (Graph, OrderedGraph, check_subdivision,
-                    check_tree_conditions, order_vertices, ordered,
+                    check_tree_conditions, ordered,
                     parse_graph, subdivide_for)
 from .loops import OLoopSpec, YLoopSpec, loop_image, loop_word, o_loop_word, \
     solve_physical_presentation, y_loop_word
@@ -27,7 +27,7 @@ __all__ = [
     "check_tree_conditions", "classify_theta_component", "eval_word",
     "from_morse", "homology_h1", "locally_abelian_solve", "loop_image",
     "loop_word", "minimize_morse", "morse_presentation", "o_loop_word",
-    "order_vertices", "ordered", "parse_graph", "plus_cell", "plus_word",
+    "ordered", "parse_graph", "plus_cell", "plus_word",
     "rewrite_word", "skeleton_presentation", "smith_normal_form",
     "solve_physical_presentation", "solve_representation",
     "stability_report", "subdivide_for", "tietze_minimize",

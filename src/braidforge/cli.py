@@ -131,6 +131,10 @@ def _load_fp(path: str) -> FPGroup:
         if not isinstance(data, dict) or not isinstance(data.get(key), list):
             raise ValidationError(f"presentation {path} has no {key!r} list")
     gens = tuple(data["generators"])
+    for i, name in enumerate(gens):
+        if not isinstance(name, str) or not name or name in gens[:i]:
+            raise ValidationError(f"presentation {path}: generator {i} is {name!r}; "
+                                  "generators are distinct non-empty strings")
     rels = []
     for r, word in enumerate(data["relators"]):
         for letter in word if isinstance(word, list) else [word]:

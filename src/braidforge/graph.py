@@ -172,16 +172,6 @@ def parse_graph(data: dict) -> Graph:
     return Graph(vertices, edges, tree, root, rotation)
 
 
-def _default_rotation(g: Graph) -> dict[int, tuple[int, ...]]:
-    warnings.warn("no rotation given; defaulting to ascending neighbor ids "
-                  "(results depend on the embedding)", stacklevel=3)
-    return {v: tuple(g.neighbors(v)) for v in g.vertices}
-
-
-def _rotation_or_default(g: Graph) -> dict[int, tuple[int, ...]]:
-    return g.rotation if g.rotation is not None else _default_rotation(g)
-
-
 # ---------------------------------------------------------------------------
 # subdivision
 
@@ -316,7 +306,7 @@ def check_subdivision(g: Graph, n: int) -> SubdivisionReport:
 
 def subdivide_for(g: Graph, n: int) -> Graph:
     """Insert degree-2 vertices until the graph is sufficiently subdivided
-    for n particles, then relabel canonically via order_vertices.  Returns g
+    for n particles, then relabel canonically via ordered.  Returns g
     unchanged when it is already sufficient.  A loop at the root raises
     SubdivisionError: opening it would give the root tree degree 2."""
     if n < 1:
@@ -342,7 +332,7 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     rotation = dict(g.rotation) if g.rotation is not None else None
 
     def subdivide_record(idx: int, extra: int):
-        nonlocal next_id, rotation
+        nonlocal next_id
         if extra <= 0:
             return
         u, v, in_tree, orig_min = records[idx]
@@ -371,9 +361,13 @@ def subdivide_for(g: Graph, n: int) -> Graph:
             for i, w in enumerate(new_vs):
                 rotation[w] = (chain[i], chain[i + 2])
 
-    def spread(total: int, k: int) -> list[int]:
-        base, extra = divmod(total, k)
-        return [base + (1 if i < extra else 0) for i in range(k)]
+    def pad(pairs: list[Edge], total: int):
+        """Spread `total` new vertices over the records of the edge pairs,
+        earlier edges taking the remainder."""
+        rec_of_pair = {_norm_edge(r[0], r[1]): i for i, r in enumerate(records)}
+        base, extra = divmod(total, len(pairs))
+        for i, pair in enumerate(pairs):
+            subdivide_record(rec_of_pair[pair], base + (i < extra))
 
     def current_graph() -> Graph:
         vs = set(g.vertices) | {x for r in records for x in r[:2]}
@@ -382,7 +376,8 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         return Graph(tuple(sorted(vs)), edges, tree, g.root, None)
 
     # simplicity pass: the complex needs a simple graph, so open loops into
-    # triangles and split parallel copies
+    # triangles and split parallel copies.  From here on edge pairs identify
+    # records uniquely.
     seen_pairs: set[Edge] = set()
     for idx in range(len(records)):
         u, v = records[idx][0], records[idx][1]
@@ -394,51 +389,21 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         else:
             seen_pairs.add(pair)
 
-    # condition 1: pad short segments between distinct essential vertices.
-    # the graph is simple now, so edge pairs identify records uniquely and
-    # every record is subdivided at most once in this phase.
+    # condition 1: pad short segments between distinct essential vertices
     cur = current_graph()
-    rec_of_pair = {_norm_edge(r[0], r[1]): i for i, r in enumerate(records)}
-    for (u, v, chain_eids) in list(_segments(cur)):
-        deficit = (n - 1) - len(chain_eids)
-        if deficit <= 0:
-            continue
-        for eid, extra in zip(chain_eids, spread(deficit, len(chain_eids))):
-            subdivide_record(rec_of_pair[cur.edges[eid]], extra)
+    for _, _, chain_eids in _segments(cur):
+        if len(chain_eids) < n - 1:
+            pad([cur.edges[eid] for eid in chain_eids], n - 1 - len(chain_eids))
 
     # condition 2: pad short cycles, shortest first, until none remain
-    while True:
-        cur = current_graph()
-        cycles = _short_cycles(cur, max_len=n)
-        if not cycles:
-            break
+    while cycles := _short_cycles(current_graph(), max_len=n):
         cyc = cycles[0]
-        # recover the edge records of this cycle
-        rec_by_edge: dict[Edge, list[int]] = {}
-        for i, r in enumerate(records):
-            rec_by_edge.setdefault(_norm_edge(r[0], r[1]), []).append(i)
-        eids = []
-        if len(cyc) == 1:
-            eids = [rec_by_edge[(cyc[0], cyc[0])][0]]
-        else:
-            taken: set[int] = set()
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                cands = [i for i in rec_by_edge.get(_norm_edge(a, b), []) if i not in taken]
-                eids.append(cands[0])
-                taken.add(cands[0])
-        deficit = (n + 1) - len(eids)
-        for eid, extra in zip(eids, spread(deficit, len(eids))):
-            subdivide_record(eid, extra)
+        pad([_norm_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])], n + 1 - len(cyc))
 
-    # condition 3: pad a short root arc; its edges are tree edges of a
-    # simple graph by now, so again every record is subdivided at most once
-    cur = current_graph()
-    arc = _root_arc(cur)
+    # condition 3: pad a short root arc
+    arc = _root_arc(current_graph())
     if 1 < len(arc) < n:
-        rec_of_pair = {_norm_edge(r[0], r[1]): i for i, r in enumerate(records)}
-        arc_edges = [_norm_edge(a, b) for a, b in zip(arc, arc[1:])]
-        for pair, extra in zip(arc_edges, spread(n - len(arc), len(arc_edges))):
-            subdivide_record(rec_of_pair[pair], extra)
+        pad([_norm_edge(a, b) for a, b in zip(arc, arc[1:])], n - len(arc))
 
     out = current_graph()
     if rotation is not None:
@@ -448,68 +413,6 @@ def subdivide_for(g: Graph, n: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # ordering
-
-
-@dataclass
-class VertexOrder:
-    """Depth-first numbering: label, per-edge (tau, iota) in label space with
-    tau < iota, and the parent edge e(v) for every non-root vertex."""
-    label: dict[int, int]                  # original id -> 1..|V|
-    original: dict[int, int]               # label -> original id
-    edge_labels: dict[Edge, tuple[int, int]]   # original edge -> (tau, iota)
-    parent: dict[int, int]                 # child label -> parent label
-    children: dict[int, tuple[int, ...]]   # label -> tree child labels, branch order
-
-
-def order_vertices(g: Graph, rotation: dict[int, tuple[int, ...]] | None = None) -> VertexOrder:
-    """Number vertices from the root along the tree.  At a junction of tree
-    degree d the branch toward the root is branch 0 and the remaining
-    branches are taken clockwise (rotation order) from it; lower branches are
-    numbered first, depth first."""
-    if not g.is_simple():
-        raise GraphFormatError("ordering requires a simple graph; subdivide first")
-    if rotation is None:
-        rotation = _rotation_or_default(g)
-
-    tadj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for a, b in g.tree_edges:
-        tadj[a].add(b)
-        tadj[b].add(a)
-
-    label: dict[int, int] = {}
-    parent_of: dict[int, int] = {}
-    children_of: dict[int, list[int]] = {}
-    counter = 1
-
-    def branch_children(v: int, parent: int | None) -> list[int]:
-        rot = rotation[v]
-        tree_nbrs = [w for w in rot if w in tadj[v]]
-        if parent is None:
-            return tree_nbrs
-        i = tree_nbrs.index(parent)
-        return tree_nbrs[i + 1:] + tree_nbrs[:i]
-
-    stack = [(g.root, None)]
-    # explicit stack DFS, children pushed in reverse so the lowest branch
-    # is numbered first
-    while stack:
-        v, par = stack.pop()
-        label[v] = counter
-        counter += 1
-        if par is not None:
-            parent_of[v] = par
-        children_of[v] = branch_children(v, par)
-        for child in reversed(children_of[v]):
-            stack.append((child, v))
-
-    original = {lab: v for v, lab in label.items()}
-    edge_labels = {}
-    for e in set(g.edges):
-        la, lb = label[e[0]], label[e[1]]
-        edge_labels[e] = (min(la, lb), max(la, lb))
-    parent = {label[v]: label[p] for v, p in parent_of.items()}
-    children = {label[v]: tuple(label[w] for w in kids) for v, kids in children_of.items()}
-    return VertexOrder(label, original, edge_labels, parent, children)
 
 
 @dataclass
@@ -550,19 +453,47 @@ class OrderedGraph:
 
 
 def ordered(g: Graph) -> OrderedGraph:
+    """Number vertices 1..|V| from the root along the tree, depth first.  At
+    a junction the branch toward the root is branch 0 and the remaining
+    branches are taken clockwise (rotation order) from it; lower branches are
+    numbered first.  Edges become (tau, iota) in label space, tau < iota."""
     if not g.is_simple():
         raise GraphFormatError("ordering requires a simple graph; subdivide first")
-    rotation_src = _rotation_or_default(g)
-    vo = order_vertices(g, rotation_src)
-    lab = vo.label
-    edges = tuple(sorted(vo.edge_labels[e] for e in set(g.edges)))
-    tree = frozenset(vo.edge_labels[e] for e in g.tree_edges)
-    deleted = tuple(sorted(e for e in edges if e not in tree))
-    rotation = {lab[v]: tuple(lab[w] for w in nbrs) for v, nbrs in rotation_src.items()}
+    rotation = g.rotation
+    if rotation is None:
+        warnings.warn("no rotation given; defaulting to ascending neighbor ids "
+                      "(results depend on the embedding)", stacklevel=2)
+        rotation = {v: tuple(g.neighbors(v)) for v in g.vertices}
+
+    label: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    # explicit stack DFS, branches pushed in reverse so the lowest branch is
+    # numbered first and every child reaches its parent in branch order
+    stack: list[tuple[int, int | None]] = [(g.root, None)]
+    while stack:
+        v, par = stack.pop()
+        label[v] = lv = len(label) + 1
+        children[lv] = ()
+        branches = [w for w in rotation[v] if _norm_edge(v, w) in g.tree_edges]
+        if par is not None:
+            parent[lv] = label[par]
+            children[label[par]] += (lv,)
+            i = branches.index(par)
+            branches = branches[i + 1:] + branches[:i]
+        stack.extend((w, v) for w in reversed(branches))
+
+    def relabel(e: Edge) -> Edge:
+        return _norm_edge(label[e[0]], label[e[1]])
+
+    edges = tuple(sorted(map(relabel, g.edges)))
+    tree = frozenset(map(relabel, g.tree_edges))
     return OrderedGraph(
-        n=len(g.vertices), edges=edges, tree=tree, deleted=deleted,
-        parent=dict(vo.parent), children=vo.children, rotation=rotation,
-        original_id=dict(vo.original), source=g)
+        n=len(g.vertices), edges=edges, tree=tree,
+        deleted=tuple(e for e in edges if e not in tree),
+        parent=parent, children=children,
+        rotation={label[v]: tuple(label[w] for w in nbrs) for v, nbrs in rotation.items()},
+        original_id={lv: v for v, lv in label.items()}, source=g)
 
 
 def relabel_canonically(g: Graph) -> Graph:

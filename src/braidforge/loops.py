@@ -186,9 +186,16 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
     og = cx.og
     loop_gens: list[LoopGenerator] = []
     for spec in specs:
+        kind = "Y" if isinstance(spec, YLoopSpec) else "O"
+        need = cx.n - (2 if kind == "Y" else 1)
+        if len(spec.spectators) != need:
+            raise ValidationError(f"{spec.name}: a {kind} loop for {cx.n} particles "
+                                  f"takes {need} spectators, got {len(spec.spectators)}")
+        strays = [v for v in spec.spectators if not 1 <= v <= og.n]
+        if strays:
+            raise ValidationError(f"{spec.name}: spectators {strays} are not vertices")
         word = loop_word(og, spec)
         img = loop_image(cx, word, max_steps=max_steps)
-        kind = "Y" if isinstance(spec, YLoopSpec) else "O"
         loop_gens.append(LoopGenerator(spec, spec.name,
                                        kind, tuple((str(c), s) for c, s in img)))
     names = [lg.name for lg in loop_gens]

@@ -137,6 +137,8 @@ def cell_word_to_indices(word: CellWord, generators: list[Cell]) -> tuple[int, .
 def morse_presentation(cx: CubeComplex, max_steps: int = DEFAULT_MAX_STEPS) -> MorsePresentation:
     """Generators are the critical 1-cells; every critical 2-cell contributes
     its rewritten boundary word as a relator."""
+    if max_steps < 0:
+        raise ValidationError(f"max_steps must be at least 0, got {max_steps}")
     cx.assert_unique_critical_zero_cell()
     generators = cx.critical_cells(1)
     relators = []

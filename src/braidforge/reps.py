@@ -257,10 +257,6 @@ class PhaseConstraint:
     """Integer congruence sum_j coefficients[j] * phi_j = 0 (mod 2 pi)."""
     coefficients: tuple[int, ...]
 
-    def __str__(self) -> str:
-        return " + ".join(f"{c}*phi_{j + 1}" for j, c in enumerate(self.coefficients)
-                          if c != 0) + " = 0 (mod 2pi)"
-
 
 @dataclass
 class LocallyAbelianAnsatz:

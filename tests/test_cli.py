@@ -317,6 +317,16 @@ LOOPS4 = {"loops": [
     ("stabilize", {"vertices": [1, 2, 3, 4], "edges": [[1, 2], [2, 3], [2, 4], [1, 3]],
                    "tree_edges": [[1, 2], [2, 3], [2, 4]], "root": 3},
      "root arc (3, 2) with 1 edges (needs 2)"),
+    # generator names are distinct non-empty strings
+    ("rep-solve", {"generators": [""], "relators": []}, "generator 0 is ''"),
+    ("rep-solve", {"generators": [["a"]], "relators": []}, "generator 0 is ['a']"),
+    ("rep-solve", {"generators": ["a", "a"], "relators": []}, "generator 1 is 'a'"),
+    # spectator counts and ids are checked against n = 2 and named by loop
+    ("physical", {"loops": [{"type": "Y", "k": 4, "m": 6, "n": 9, "spectators": [1, 2, 3]}]},
+     "Y(4,6,9;1,2,3): a Y loop for 2 particles takes 0 spectators, got 3"),
+    ("physical", {"loops": [{"type": "O", "cycle": [1, 2, 3, 4, 5, 6, 7, 8],
+                             "spectators": [99]}]},
+     "O(1-2-3-4-5-6-7-8;99): spectators [99] are not vertices"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
@@ -326,6 +336,7 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     argv = {"physical": ["physical", THETA, "-n", "2", "--loops", str(bad)],
             "h1": ["h1", str(bad), "-n", "2"],
             "rep-verify": ["rep-verify", str(pres), str(bad)],
+            "rep-solve": ["rep-solve", str(bad), "-k", "2"],
             "subdivide": ["subdivide", str(bad), "-n", "3"],
             "stabilize": ["stabilize", str(bad), "--from", "2", "--to", "3"]}[command]
     assert main(argv) == 2

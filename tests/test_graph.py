@@ -28,13 +28,12 @@ def test_parse_single_edge():
     g = bf.parse_graph({"vertices": [1, 2], "edges": [[1, 2]],
                         "tree_edges": [[1, 2]], "root": 1})
     assert g.edges == ((1, 2),)
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        vo = bf.order_vertices(g)
-    assert vo.label == {1: 1, 2: 2}
-    assert vo.edge_labels[(1, 2)] == (1, 2)
-    assert vo.parent == {2: 1}
+        o = bf.ordered(g)
+    assert o.original_id == {1: 1, 2: 2}
+    assert o.edges == ((1, 2),)
+    assert o.parent == {2: 1}
 
 
 def test_parse_rejects_non_spanning_tree():
@@ -115,15 +114,13 @@ def test_order_scrambled_ids_hand_dfs():
             "root": 20,
             "rotation": {"20": [7], "7": [20, 13], "13": [7, 2, 9],
                          "2": [13, 40], "40": [2], "9": [13, 5], "5": [9]}}
-    vo = bf.order_vertices(bf.parse_graph(data))
-    assert vo.label == {20: 1, 7: 2, 13: 3, 2: 4, 40: 5, 9: 6, 5: 7}
+    o = bf.ordered(bf.parse_graph(data))
+    assert o.original_id == {1: 20, 2: 7, 3: 13, 4: 2, 5: 40, 6: 9, 7: 5}
 
 
 def test_order_is_deterministic():
     g = graph("theta")
-    a = bf.order_vertices(g)
-    b = bf.order_vertices(g)
-    assert a.label == b.label
+    assert bf.ordered(g).original_id == bf.ordered(g).original_id
 
 
 def test_order_bijection_and_parent_monotone():
@@ -138,8 +135,16 @@ def test_default_rotation_warns():
     data = load_fixture("y")
     del data["rotation"]
     g = bf.parse_graph(data)
-    with pytest.warns(UserWarning, match="default"):
-        bf.order_vertices(g)
+    with pytest.warns(UserWarning, match="default") as record:
+        bf.ordered(g)
+    assert record[0].filename == __file__       # points at the caller
+
+
+def test_order_rejects_multigraph():
+    g = bf.parse_graph({"vertices": [1, 2], "edges": [[1, 2], [1, 2]],
+                        "tree_edges": [[1, 2]], "root": 1})
+    with pytest.raises(GraphFormatError, match="subdivide first"):
+        bf.ordered(g)
 
 
 # -- subdivision --------------------------------------------------------------
@@ -238,7 +243,6 @@ def test_subdivide_unchanged_when_sufficient():
 def test_subdivide_idempotent_and_check_empty():
     for name in ("theta", "y", "path", "lasso"):
         for n in (2, 3, 4, 5):
-            import warnings
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 s = bf.subdivide_for(graph(name), n)
@@ -266,7 +270,6 @@ def test_subdivide_forces_simplicity():
 
 
 def test_subdivided_graph_is_canonical():
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         s = bf.subdivide_for(raw_theta(), 3)

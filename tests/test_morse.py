@@ -99,6 +99,11 @@ def test_rewrite_step_bound_must_not_be_negative():
     with pytest.raises(ValidationError, match="max_steps"):
         rewrite_word(cx, word, max_steps=-1)
     assert cx.flow_cache == {}
+    # theta n = 2 has no critical 2-cell, so no relator reaches rewrite_word
+    cx = bf.CubeComplex(og("theta"), 2)
+    with pytest.raises(ValidationError, match="max_steps must be at least 0, got -1"):
+        bf.morse_presentation(cx, max_steps=-1)
+    assert cx.flow_cache == {}
 
 
 def test_rewrite_step_bound_counts_only_redundant_expansions():
