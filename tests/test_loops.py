@@ -1,13 +1,18 @@
+import hashlib
+import json
+import warnings
+
 import pytest
 
 import braidforge as bf
 from braidforge import words as W
 from braidforge.cells import inverse_word, letter_endpoints
 from braidforge.errors import PhysicalSolveError, ValidationError
-from braidforge.loops import check_closed, loop_image, loop_word
+from braidforge.loops import _suggest_loops, check_closed, loop_image, loop_word
 
-from helpers import (E18, E59, E111, cell, complex_for, cw, edge_crossings,
-                     minimized, morse, og, theta_cells, theta_loop_specs)
+from helpers import (E18, E59, E111, cell, complete_graph, complex_for, cw,
+                     edge_crossings, graph, minimized, morse, og, theta_cells,
+                     theta_loop_specs)
 
 
 def test_y_loop_word_exact():
@@ -312,3 +317,64 @@ def test_physical_dictionary_consistent_with_images():
             img = tuple(s * gen_index[cn] for cn, s in images[abs(x)])
             expanded = W.concat(expanded, img if x > 0 else W.inverse(img))
         assert expanded == (gen_index[nm],)
+
+
+def _fundamental_cycle(o, edge):
+    """The tree path from tau to iota of a deleted edge, closed by the edge."""
+    tau, iota = edge
+    up = [tau]
+    while up[-1] != o.root:
+        up.append(o.parent[up[-1]])
+    down = [iota]
+    while down[-1] not in up:
+        down.append(o.parent[down[-1]])
+    return tuple(up[:up.index(down[-1])] + down[::-1])
+
+
+def _auto_loop_system(cx, mp):
+    """The Y loops suggested for every Morse generator, plus one O loop per
+    deleted edge around its fundamental cycle with the n - 1 lowest
+    off-cycle vertices parked (skipped where too few are off the cycle)."""
+    o = cx.og
+    specs = [s for c in mp.generators for s in _suggest_loops(cx, c)]
+    for e in o.deleted:
+        cycle = _fundamental_cycle(o, e)
+        park = [v for v in range(1, o.n + 1) if v not in cycle][:cx.n - 1]
+        if len(park) == cx.n - 1:
+            specs.append(bf.OLoopSpec(cycle, tuple(park)))
+    return list(dict.fromkeys(specs))
+
+
+@pytest.mark.parametrize("name, n, digest", [
+    ("theta", 3, "2bb2c53bba6c8c80e6f6119a7552324ea2fbd6ebb371dd6d28348ba2d6cecbb3"),
+    ("theta", 4, "5ba1d7eaf196c84c86e48d2d83490a4ffe17615db869e3a3cecb2f1ab73d1d7c"),
+    ("K4", 3, "f0aafdb373d11d07bc5f3a6905a31416e454b8cc3fcce78e2ae88d3141497085"),
+    # the only case whose dependency relators expand through more than one
+    # level of eliminations
+    ("K4", 4, "621b89160402343495ff1dae34041b051846cf1c81f358b9941245043e8e6428"),
+    # the cases below stall and pin the solver's error instead
+    ("lasso", 2, "29284109c79e1072114625434e52fcbeeedb1c58209f4b19456f0f0308f2ebfe"),
+    ("lasso", 3, "8152b914fa78c7546cb8d5d408d77afe53fa39cb7c06173cb997fa33753e63ec"),
+    ("lasso", 4, "3988f7d947e27ffc9713a5e5b022a062e2f79f68b443d8110eab7b6d23bf1ed2"),
+    ("K4", 2, "1f8b1e77885b0eb03fdd426af20d69b728032ef7bb4980763be52326a2dfda95"),
+])
+def test_physical_presentation_digest(name, n, digest):
+    # pins loops with their images, the dictionary, the relators and the
+    # generators letter for letter on auto-generated loop systems
+    g = complete_graph(4) if name == "K4" else graph(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        o = bf.ordered(bf.subdivide_for(g, n))
+    cx = bf.CubeComplex(o, n)
+    mp = bf.morse_presentation(cx)
+    mini, _ = bf.minimize_morse(o, mp)
+    try:
+        pp = bf.solve_physical_presentation(cx, mini, _auto_loop_system(cx, mp), mp)
+        out = [[[lg.name, [list(x) for x in lg.image]] for lg in pp.loops],
+               [[nm, list(w)] for nm, w in pp.dictionary],
+               [[origin, list(w)] for origin, w in pp.relators],
+               list(pp.group.generators)]
+    except PhysicalSolveError as exc:
+        out = [type(exc).__name__, str(exc)]
+    blob = json.dumps(out, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
