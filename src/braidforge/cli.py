@@ -292,12 +292,12 @@ def cmd_physical(args):
         "dictionary": [[nm, _signed_indices(wd)] for nm, wd in pp.dictionary],
         "relators": [{"origin": origin, "word": _signed_indices(wd)}
                      for origin, wd in pp.relators],
-        "generators": pp.loop_names,
+        "generators": list(pp.group.generators),
         "h1": str(h1),
     }
     lines = [str(pp.group), "", "dictionary:"]
     for nm, wd in pp.dictionary:
-        lines.append(f"  {nm} = {pp.word_str(wd)}")
+        lines.append(f"  {nm} = {pp.group.word_str(wd)}")
     lines.append("loop images:")
     for lg in pp.loops:
         img = " ".join(nm + ("" if s > 0 else "^-1") for nm, s in lg.image) or "1"

@@ -4,7 +4,10 @@ Two families of loops generate everything of physical interest: a pair
 exchange at a tree junction (Y loop, six letters) and a single particle
 driven around a simple cycle with all other particles parked (O loop).  The
 solver expresses the critical-cell generators of a minimized presentation as
-words in such loops and rewrites all relators through that dictionary.
+words in such loops and rewrites all relators through that dictionary; one
+resolver reads every other cell through its Tietze elimination.  A loop's
+image is the flow image of the closed loop itself: the falling path that
+would base it consists of collapsible cells, which flow to the empty word.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import words as W
-from .cells import Cell, CellWord, CubeComplex, inverse_word, letter_endpoints
+from .cells import Cell, CellWord, CubeComplex, letter_endpoints
 from .errors import PhysicalSolveError, ValidationError
 from .graph import OrderedGraph
 from .morse import DEFAULT_MAX_STEPS, MorsePresentation, rewrite_word
@@ -53,42 +56,43 @@ def y_loop_word(og: OrderedGraph, spec: YLoopSpec) -> CellWord:
     k, m, n = spec.k, spec.m, spec.n
     l = og.parent.get(m)
     if l is None or og.parent.get(n) != l:
-        raise ValidationError(f"{m} and {n} are not tree siblings; no junction")
+        raise ValidationError(f"{spec.name}: {m} and {n} are not tree siblings; no junction")
     if og.parent.get(l) != k:
-        raise ValidationError(f"{k} is not the tree parent of junction {l}")
+        raise ValidationError(f"{spec.name}: {k} is not the tree parent of junction {l}")
     if not (k < l < m < n):
-        raise ValidationError(f"need k < l < m < n, got {k} < {l} < {m} < {n}")
+        raise ValidationError(f"{spec.name}: need k < l < m < n, got {k} < {l} < {m} < {n}")
     sv = set(spec.spectators)
     if sv & {k, l, m, n}:
-        raise ValidationError(f"spectators {sorted(sv & {k, l, m, n})} collide with the junction")
+        raise ValidationError(f"{spec.name}: spectators {sorted(sv & {k, l, m, n})} "
+                              "collide with the junction")
     if len(sv) != len(spec.spectators):
-        raise ValidationError("duplicate spectators")
+        raise ValidationError(f"{spec.name}: duplicate spectators")
     ekl, elm, eln = (k, l), (l, m), (l, n)
     vs = tuple(sorted(sv))
     mk = lambda e, v: Cell((e,), vs + (v,))
-    word = (
+    return (
         (mk(eln, k), +1), (mk(elm, k), -1), (mk(ekl, m), -1),
         (mk(eln, m), -1), (mk(elm, n), +1), (mk(ekl, n), +1),
     )
-    return word
 
 
 def o_loop_word(og: OrderedGraph, spec: OLoopSpec) -> CellWord:
     cyc = spec.cycle
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-        raise ValidationError("cycle must be simple with at least 3 vertices")
+        raise ValidationError(f"{spec.name}: cycle must be simple with at least 3 vertices")
     sv = set(spec.spectators)
     if sv & set(cyc):
-        raise ValidationError(f"spectators {sorted(sv & set(cyc))} collide with the cycle")
+        raise ValidationError(f"{spec.name}: spectators {sorted(sv & set(cyc))} "
+                              "collide with the cycle")
     if len(sv) != len(spec.spectators):
-        raise ValidationError("duplicate spectators")
+        raise ValidationError(f"{spec.name}: duplicate spectators")
     edge_set = set(og.edges)
     vs = tuple(sorted(sv))
     word = []
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         e = (min(a, b), max(a, b))
         if e not in edge_set:
-            raise ValidationError(f"cycle step {a}->{b} is not an edge")
+            raise ValidationError(f"{spec.name}: cycle step {a}->{b} is not an edge")
         # positive direction of a 1-cell is iota -> tau
         sign = +1 if a == e[1] else -1
         word.append((Cell((e,), vs), sign))
@@ -121,11 +125,12 @@ def check_closed(word: CellWord):
 
 def loop_image(cx: CubeComplex, word: CellWord,
                max_steps: int = DEFAULT_MAX_STEPS) -> CellWord:
-    """Image of a closed loop in the quotient complex: conjugate to the base
-    configuration along the falling path, then rewrite."""
+    """Image of a closed loop in the quotient complex.  Basing the loop
+    would conjugate it by the falling path to the base configuration, but
+    every letter of that path is a collapsible 1-cell, whose flow image is
+    empty, so the loop is rewritten as it stands."""
     check_closed(word)
-    path = cx.path_to_base(letter_endpoints(word[0])[0]) if word else ()
-    return rewrite_word(cx, path + tuple(word) + inverse_word(path), max_steps).output
+    return rewrite_word(cx, word, max_steps).output
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +151,6 @@ class PhysicalPresentation:
     dictionary: list[tuple[str, tuple[int, ...]]]   # cell name -> loop word
     relators: list[tuple[str, tuple[int, ...]]]     # (origin, loop word)
     group: FPGroup
-
-    @property
-    def loop_names(self) -> list[str]:
-        return [lg.name for lg in self.loops]
-
-    def word_str(self, word) -> str:
-        return self.group.word_str(word)
 
 
 def _suggest_loops(cx: CubeComplex, cell: Cell) -> list[YLoopSpec]:
@@ -182,7 +180,12 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
     critical cell occurs, solves for it, and substitutes known cells.  The
     remaining relators are the minimized ones, one dependency relator per
     auxiliary solved cell (its eliminating relator), and one defining
-    relator per loop equation that was never needed for solving."""
+    relator per loop equation that was never needed for solving.
+
+    `to_loops` is the one resolver from cell names to loop words: a solved
+    name reads its dictionary entry, any other name its Tietze elimination
+    expression, resolved in turn and kept in a local memo.  Those names stay
+    out of the dictionary, which lists solved cells only."""
     og = cx.og
     loop_gens: list[LoopGenerator] = []
     for spec in specs:
@@ -208,13 +211,18 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
     for lg in loop_gens:
         unknowns.update(name for name, _ in lg.image)
 
+    elim_by_gen = {e.generator: e for e in minimized.eliminations}
     dictionary: dict[str, tuple[int, ...]] = {}
-    dict_order: list[str] = []
+    eliminated: dict[str, tuple[int, ...]] = {}
 
     def to_loops(named_word) -> tuple[int, ...]:
         out: list[int] = []
         for name, sign in named_word:
-            expr = dictionary[name]
+            expr = dictionary.get(name)
+            if expr is None:
+                expr = eliminated.get(name)
+                if expr is None:
+                    expr = eliminated[name] = to_loops(elim_by_gen[name].expression)
             out.extend(expr if sign > 0 else W.inverse(expr))
         return W.free_reduce(out)
 
@@ -236,10 +244,7 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
             loop_letter = (i + 1,)
             expr = W.concat(W.inverse(to_loops(pre)), loop_letter,
                             W.inverse(to_loops(post)))
-            if sign < 0:
-                expr = W.inverse(expr)
-            dictionary[name] = expr
-            dict_order.append(name)
+            dictionary[name] = expr if sign > 0 else W.inverse(expr)
             used[i] = True
             progress = True
 
@@ -264,16 +269,12 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
         relators.append((f"minimal:{origin}",
                          to_loops(_named(rel, minimized.group.generators))))
 
-    # dependency relators for auxiliary solved cells
-    elim_by_gen = {e.generator: e for e in minimized.eliminations}
-    aux = [nm for nm in dict_order if nm not in minimal_gens]
-    aux.sort(key=lambda nm: cell_by_name[nm].sort_key())
+    # dependency relators for auxiliary solved cells: every solved name is a
+    # Morse generator, so one missing from the minimized group was eliminated
+    aux = sorted((nm for nm in dictionary if nm not in minimal_gens),
+                 key=lambda nm: cell_by_name[nm].sort_key())
     for nm in aux:
-        elim = elim_by_gen.get(nm)
-        if elim is None:
-            continue
-        rel = _expand_to_known(elim.relator, elim_by_gen, set(dictionary))
-        relators.append((f"dependency:{nm}", to_loops(rel)))
+        relators.append((f"dependency:{nm}", to_loops(elim_by_gen[nm].relator)))
 
     # defining relators for loops never needed by the solver
     for i, lg in enumerate(loop_gens):
@@ -285,30 +286,9 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
 
     group = FPGroup(tuple(names), tuple(w for _, w in relators),
                     tuple(origin for origin, _ in relators))
-    pp = PhysicalPresentation(loop_gens, [(nm, dictionary[nm]) for nm in dict_order],
-                              relators, group)
+    pp = PhysicalPresentation(loop_gens, list(dictionary.items()), relators, group)
     _validate_consequences(mp, pp)
     return pp
-
-
-def _expand_to_known(named_word, elim_by_gen, known: set[str]):
-    """Rewrite eliminated generators that are not in the dictionary through
-    their elimination expressions until only known names remain."""
-    word = list(named_word)
-    for _ in range(1 + len(elim_by_gen)):
-        todo = [nm for nm, _ in word if nm not in known]
-        if not todo:
-            return tuple(word)
-        out = []
-        for nm, sign in word:
-            if nm in known or nm not in elim_by_gen:
-                out.append((nm, sign))
-                continue
-            expr = elim_by_gen[nm].expression
-            out.extend(expr if sign > 0 else
-                       tuple((m, -s) for m, s in reversed(expr)))
-        word = out
-    raise PhysicalSolveError("could not expand dependency relator to known cells")
 
 
 def _validate_consequences(mp: MorsePresentation, pp: PhysicalPresentation):

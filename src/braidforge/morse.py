@@ -71,31 +71,40 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
     expansions = 0
     open_cells: set[Cell] = set()
 
-    def image(cell: Cell, sign: int) -> CellWord:
+    def expand(letters, out: list):
+        """Append the images of `letters` to `out`.  Redundant cells are
+        expanded depth first on an explicit stack of frames (cell, its sign,
+        letters of its square still to read, its image so far), not by
+        recursion, so a flow line of any length fits."""
         nonlocal expansions
-        got = cx.flow_cache.get(cell)
-        if got is None:
-            cls = cx.classify(cell)
-            if cls.kind == CRITICAL:
-                got = ((cell, 1),)
-            elif cls.kind == COLLAPSIBLE:
-                got = ()
+        stack = [(None, 1, iter(letters), out)]
+        while stack:
+            top, top_sign, letters, out = stack[-1]
+            for cell, sign in letters:
+                got = cx.flow_cache.get(cell)
+                if got is None:
+                    cls = cx.classify(cell)
+                    if cls.kind == REDUNDANT:
+                        if cell in open_cells:
+                            raise MatchingError(
+                                f"the matching flow returns to {cell} while expanding "
+                                "it; the matching has a cycle")
+                        expansions += 1
+                        if expansions > max_steps:
+                            raise RewriteLimitError(
+                                f"rewriting exceeded the bound of {max_steps} flow "
+                                "expansions (raise --max-steps only if you are sure)")
+                        open_cells.add(cell)
+                        stack.append((cell, sign, iter(_square_rest(cx, cell, cls.partner)), []))
+                        break
+                    got = cx.flow_cache[cell] = ((cell, 1),) if cls.kind == CRITICAL else ()
+                out.extend(got if sign > 0 else inverse_word(got))
             else:
-                if cell in open_cells:
-                    raise MatchingError(
-                        f"the matching flow returns to {cell} while expanding it; "
-                        "the matching has a cycle")
-                expansions += 1
-                if expansions > max_steps:
-                    raise RewriteLimitError(
-                        f"rewriting exceeded the bound of {max_steps} flow "
-                        "expansions (raise --max-steps only if you are sure)")
-                open_cells.add(cell)
-                got = _free_reduce(x for letter in _square_rest(cx, cell, cls.partner)
-                                   for x in image(*letter))
-                open_cells.discard(cell)
-            cx.flow_cache[cell] = got
-        return got if sign > 0 else inverse_word(got)
+                stack.pop()
+                if top is not None:
+                    open_cells.discard(top)
+                    got = cx.flow_cache[top] = _free_reduce(out)
+                    stack[-1][3].extend(got if top_sign > 0 else inverse_word(got))
 
     trace = RewriteTrace(input=tuple(word), output=())
     images = []
@@ -105,7 +114,7 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
             trace.steps.append(RewriteStep("collapse", j, (cell,)))
         elif cls.kind == REDUNDANT:
             trace.steps.append(RewriteStep("simple_homotopy", j, (cell, cls.partner)))
-        images.extend(image(cell, sign))
+        expand(((cell, sign),), images)
     trace.output = _free_reduce(images, trace.steps)
     return trace
 

@@ -327,6 +327,12 @@ LOOPS4 = {"loops": [
     ("physical", {"loops": [{"type": "O", "cycle": [1, 2, 3, 4, 5, 6, 7, 8],
                              "spectators": [99]}]},
      "O(1-2-3-4-5-6-7-8;99): spectators [99] are not vertices"),
+    # loop words that do not fit the graph name their loop
+    ("physical", {"loops": [{"type": "Y", "k": 4, "m": 6, "n": 9},
+                            {"type": "Y", "k": 4, "m": 6, "n": 10}]},
+     "Y(4,6,10;): 6 and 10 are not tree siblings; no junction"),
+    ("physical", {"loops": [{"type": "O", "cycle": [1, 2, 7], "spectators": [9]}]},
+     "O(1-2-7;9): cycle step 2->7 is not an edge"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
@@ -364,6 +370,44 @@ def test_json_artifact_digests(tmp_path, argv, digest):
                        capture_output=True)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+def _long_theta(arc: int) -> dict:
+    """A pendant root 1 on junction 2, and three arcs of `arc` edges each
+    from 2 to 3; the first arc is in the tree, the others lose their last
+    edge."""
+    vertices, edges, tree = [1, 2, 3], [[1, 2]], [[1, 2]]
+    for a in range(3):
+        path = [2] + list(range(len(vertices) + 1, len(vertices) + arc)) + [3]
+        vertices += path[1:-1]
+        for i, e in enumerate(zip(path, path[1:])):
+            edges.append(list(e))
+            if a == 0 or i < arc - 1:
+                tree.append(list(e))
+    rotation = {str(v): [w for e in edges if v in e for w in e if w != v]
+                for v in vertices}
+    return {"vertices": vertices, "edges": edges, "tree_edges": tree, "root": 1,
+            "rotation": rotation}
+
+
+@pytest.mark.parametrize("arc", [4, 400])
+def test_long_flow_lines_compute(tmp_path, capsys, arc):
+    # at 400 edges per arc, flow lines run deeper than the interpreter's
+    # recursion limit; the flow walks them on its own stack
+    raw, sub, pres = tmp_path / "raw.json", tmp_path / "sub.json", tmp_path / "pres.json"
+    raw.write_text(json.dumps(_long_theta(arc)))
+    assert main(["subdivide", str(raw), "-n", "3"]) == 0
+    sub.write_text(capsys.readouterr().out)
+    assert main(["present", str(sub), "-n", "3", "--json", str(pres)]) == 0
+    data = json.loads(pres.read_text())
+    assert (len(data["generators"]), len(data["relators"])) == (13, 6)
+    capsys.readouterr()
+    assert main(["h1", str(sub), "-n", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "Z^7"
+    if arc == 4:
+        # the brute-force 1-skeleton oracle agrees where it is affordable
+        assert main(["oracle", str(sub), "-n", "3"]) == 0
+        assert capsys.readouterr().out.strip().endswith("H1 = Z^7")
 
 
 def test_cyclic_matching_exit_2(monkeypatch, capsys):

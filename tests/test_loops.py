@@ -175,8 +175,7 @@ def _physical(n):
 
 def test_solve_physical_n2_dictionary():
     pp = _physical(2)
-    names = pp.loop_names
-    assert names == ["Y(4,6,9;)", "O(5-6-7-8-1-11-10-9;2)", "O(1-2-3-4-5-6-7-8;9)"]
+    assert pp.group.generators == ("Y(4,6,9;)", "O(5-6-7-8-1-11-10-9;2)", "O(1-2-3-4-5-6-7-8;9)")
     gam, aD, aU = 1, 2, 3
     c = theta_cells(2)
     d = dict(pp.dictionary)
