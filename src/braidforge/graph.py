@@ -97,7 +97,11 @@ def parse_graph(data: dict) -> Graph:
     def read(key, convert):
         try:
             return [convert(x) for x in data[key]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError:
+            hint = ('; this looks like a `subdivide --json` artifact, whose graph '
+                    'sits under "graph"' if "graph" in data else "")
+            raise GraphFormatError(f"malformed graph file: missing key {key!r}{hint}") from None
+        except (TypeError, ValueError) as exc:
             raise GraphFormatError(f"malformed graph file: {key!r}: {exc}") from exc
 
     vertices = tuple(sorted(read("vertices", json_int)))

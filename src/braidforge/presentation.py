@@ -3,8 +3,9 @@ Smith normal form and first homology."""
 
 from __future__ import annotations
 
+import heapq
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import words as W
@@ -118,9 +119,23 @@ def named_word_to_indices(word, generators) -> tuple[int, ...]:
 # abelianization and Smith normal form
 
 
+def abelianization_rows(p: FPGroup) -> list[dict[int, int]]:
+    """Relators as sparse rows {generator column: exponent sum}; zero sums
+    are dropped."""
+    out = []
+    for rel in p.relators:
+        sums = Counter()
+        for x in rel:
+            sums[abs(x) - 1] += 1 if x > 0 else -1
+        out.append({j: s for j, s in sums.items() if s})
+    return out
+
+
 def abelianization_matrix(p: FPGroup) -> list[list[int]]:
-    """Relators x generators matrix of signed occurrence counts."""
-    return [W.exponent_sums(r, len(p.generators)) for r in p.relators]
+    """Relators x generators matrix of signed occurrence counts: the rows of
+    `abelianization_rows`, written out densely."""
+    return [[row.get(j, 0) for j in range(len(p.generators))]
+            for row in abelianization_rows(p)]
 
 
 @dataclass
@@ -132,26 +147,41 @@ class SNF:
 def smith_normal_form(matrix) -> SNF:
     """Invariant factors of an integer matrix, exactly.
 
-    Sparse elimination on Python integers (after Dumas, Saunders & Villard,
+    Rows are dense sequences or sparse {column: value} mappings.  Sparse
+    elimination on Python integers (after Dumas, Saunders & Villard,
     JSC 2001): the pivot is a live entry of least absolute value, ties going
     to the least fill (row count - 1) * (column count - 1).  Floor-quotient
     row and column operations clear its column and row; a smaller remainder
     becomes the next pivot.  A lone pivot that does not divide some live
     entry takes that entry's row in; otherwise it retires.  Every later
     entry is a combination of entries it divides, so the retired pivots
-    form the divisor chain d1 | d2 | ..."""
-    n = len(matrix[0]) if matrix else 0
-    rows = {i: {j: int(x) for j, x in enumerate(row) if x}
+    form the divisor chain d1 | d2 | ...
+
+    Candidates wait in a heap keyed (|x|, fill, i, j), pushed on every
+    write.  A popped key is dropped when its entry is gone or its |x|
+    changed (that write pushed a fresh key), and pushed again when its fill
+    changed; a pivot that does not retire goes back.  So the least |x| is
+    exact and only the fill tie-break can be stale, which changes the speed
+    but not the invariant factors.  The heap empties with the matrix."""
+    rows = {i: {j: int(x) for j, x in (row.items() if isinstance(row, dict)
+                                        else enumerate(row)) if x}
             for i, row in enumerate(matrix)}
-    cols: dict[int, set[int]] = {j: set() for j in range(n)}
+    cols = defaultdict(set)
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
+
+    def key(i, j):
+        return abs(rows[i][j]), (len(rows[i]) - 1) * (len(cols[j]) - 1), i, j
+
+    heap = [key(i, j) for i, row in rows.items() for j in row]
+    heapq.heapify(heap)
 
     def put(i, j, x):
         if x:
             rows[i][j] = x
             cols[j].add(i)
+            heapq.heappush(heap, key(i, j))
         else:
             rows[i].pop(j, None)
             cols[j].discard(i)
@@ -165,23 +195,27 @@ def smith_normal_form(matrix) -> SNF:
             put(i, dst, rows[i].get(dst, 0) + k * rows[i][src])
 
     pivots = []
-    while any(rows.values()):
-        _, r, c = min(((abs(x), (len(row) - 1) * (len(cols[j]) - 1)), i, j)
-                      for i, row in rows.items() for j, x in row.items())
-        p = rows[r][c]
+    while heap:
+        size, _, r, c = popped = heapq.heappop(heap)
+        p = rows.get(r, {}).get(c)
+        if p is None or abs(p) != size:
+            continue
+        if popped != key(r, c):
+            heapq.heappush(heap, key(r, c))
+            continue
         for i in list(cols[c] - {r}):
             add_row(i, r, -(rows[i][c] // p))
         for j in list(rows[r].keys() - {c}):
             add_col(j, c, -(rows[r][j] // p))
-        if len(rows[r]) > 1 or len(cols[c]) > 1:
-            continue
-        bad = None if abs(p) == 1 else next(
-            (i for i, row in rows.items() if any(x % p for x in row.values())), None)
-        if bad is not None:
+        if len(rows[r]) == 1 and len(cols[c]) == 1:
+            bad = None if size == 1 else next(
+                (i for i, row in rows.items() if any(x % p for x in row.values())), None)
+            if bad is None:
+                pivots.append(size)
+                del rows[r], cols[c]
+                continue
             add_row(r, bad, 1)
-            continue
-        pivots.append(abs(p))
-        del rows[r], cols[c]
+        heapq.heappush(heap, key(r, c))
     return SNF(tuple(pivots), len(pivots))
 
 
@@ -225,7 +259,7 @@ class HomologyClass:
 
 def homology_h1(p: FPGroup, warn_unexpected_torsion: bool = False) -> HomologyClass:
     """Cokernel of the abelianization matrix as free rank plus torsion."""
-    snf = smith_normal_form(abelianization_matrix(p))
+    snf = smith_normal_form(abelianization_rows(p))
     torsion = tuple(d for d in snf.diagonal if d > 1)
     if warn_unexpected_torsion and any(d != 2 for d in torsion):
         warnings.warn(f"unexpected torsion factors {torsion}; graph pipelines "

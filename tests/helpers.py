@@ -136,3 +136,52 @@ def gal_euler_characteristic(g: bf.Graph, n: int) -> int:
     m = len(g.edges)
     return sum(c * math.comb(n - i + m - 1, m - 1)
                for i, c in enumerate(poly[:n + 1]))
+
+
+def reference_snf_diagonal(matrix) -> tuple[int, ...]:
+    """The invariant factors by the earlier full-scan routine: each pivot is
+    a `min` over every live entry, keyed (|x|, fill, i, j), and the loop
+    runs while any entry is live.  Takes dense rows only."""
+    n = len(matrix[0]) if matrix else 0
+    rows = {i: {j: int(x) for j, x in enumerate(row) if x}
+            for i, row in enumerate(matrix)}
+    cols: dict[int, set[int]] = {j: set() for j in range(n)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+
+    def put(i, j, x):
+        if x:
+            rows[i][j] = x
+            cols[j].add(i)
+        else:
+            rows[i].pop(j, None)
+            cols[j].discard(i)
+
+    def add_row(dst, src, k):
+        for j, x in list(rows[src].items()):
+            put(dst, j, rows[dst].get(j, 0) + k * x)
+
+    def add_col(dst, src, k):
+        for i in list(cols[src]):
+            put(i, dst, rows[i].get(dst, 0) + k * rows[i][src])
+
+    pivots = []
+    while any(rows.values()):
+        _, r, c = min(((abs(x), (len(row) - 1) * (len(cols[j]) - 1)), i, j)
+                      for i, row in rows.items() for j, x in row.items())
+        p = rows[r][c]
+        for i in list(cols[c] - {r}):
+            add_row(i, r, -(rows[i][c] // p))
+        for j in list(rows[r].keys() - {c}):
+            add_col(j, c, -(rows[r][j] // p))
+        if len(rows[r]) > 1 or len(cols[c]) > 1:
+            continue
+        bad = None if abs(p) == 1 else next(
+            (i for i, row in rows.items() if any(x % p for x in row.values())), None)
+        if bad is not None:
+            add_row(r, bad, 1)
+            continue
+        pivots.append(abs(p))
+        del rows[r], cols[c]
+    return tuple(pivots)

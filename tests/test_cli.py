@@ -333,6 +333,13 @@ LOOPS4 = {"loops": [
      "Y(4,6,10;): 6 and 10 are not tree siblings; no junction"),
     ("physical", {"loops": [{"type": "O", "cycle": [1, 2, 7], "spectators": [9]}]},
      "O(1-2-7;9): cycle step 2->7 is not an edge"),
+    # a missing top-level key is named as missing; a subdivide --json
+    # artifact is recognised by its "graph" key
+    ("h1", {"manifest": {}, "graph": THETA_GRAPH},
+     "missing key 'vertices'; this looks like a `subdivide --json` artifact, "
+     'whose graph sits under "graph"'),
+    ("h1", {k: v for k, v in THETA_GRAPH.items() if k != "tree_edges"},
+     "malformed graph file: missing key 'tree_edges'"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"

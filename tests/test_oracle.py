@@ -4,11 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import braidforge as bf
+from braidforge import words as W
 from braidforge.oracle import skeleton_presentation
-from braidforge.presentation import HomologyClass, homology_h1
+from braidforge.presentation import (HomologyClass, abelianization_matrix,
+                                     abelianization_rows, homology_h1,
+                                     smith_normal_form)
 
 from helpers import (complete_bipartite_33, complete_graph, complex_for,
-                     gal_euler_characteristic, graph)
+                     gal_euler_characteristic, graph, reference_snf_diagonal)
 
 
 def _pipeline(g, n):
@@ -43,13 +46,30 @@ def test_oracle_matches_morse_homology_everywhere():
     # larger and non-planar inputs, with their known first homology
     cases += [("theta", graph("theta"), 5, HomologyClass(3, ())),
               ("K5", complete_graph(5), 3, HomologyClass(6, (2,))),
-              ("K33", complete_bipartite_33(), 3, HomologyClass(4, (2,)))]
+              ("K33", complete_bipartite_33(), 3, HomologyClass(4, (2,))),
+              ("K4", complete_graph(4), 4, HomologyClass(4, ()))]
     for name, g, n, expected in cases:
         cx = _pipeline(g, n)
         h_morse = homology_h1(bf.from_morse(bf.morse_presentation(cx)))
         h_oracle = homology_h1(skeleton_presentation(cx).group)
         assert h_morse == h_oracle, (name, n)
         assert expected in (None, h_oracle), (name, n)
+
+
+def test_oracle_snf_matches_full_scan_reference():
+    # the three oracle-crosscheck matrices: the dense matrix holds the
+    # relators' exponent sums, the sparse rows its nonzero entries, and both
+    # give the full-scan routine's invariant factors
+    for g, n in ((graph("theta"), 3), (graph("theta"), 4), (complete_graph(4), 3)):
+        group = skeleton_presentation(_pipeline(g, n)).group
+        rows = abelianization_rows(group)
+        dense = abelianization_matrix(group)
+        assert dense == [W.exponent_sums(r, len(group.generators))
+                         for r in group.relators]
+        assert rows == [{j: x for j, x in enumerate(full) if x} for full in dense]
+        expected = reference_snf_diagonal(dense)
+        assert smith_normal_form(dense).diagonal == expected, n
+        assert smith_normal_form(rows).diagonal == expected, n
 
 
 def test_two_particles_on_nonplanar_graphs():
@@ -78,10 +98,9 @@ def test_loop_image_class_matches_in_skeleton():
     # embedding the image back into the 1-skeleton (critical letters joined
     # to the base by collapsible falling paths) the two words must agree in
     # the abelianized skeleton presentation
-    from braidforge import words as W
     from braidforge.cells import inverse_word, letter_endpoints
     from braidforge.morse import rewrite_word
-    from braidforge.presentation import abelianization_matrix, in_row_lattice
+    from braidforge.presentation import in_row_lattice
 
     from helpers import og as _og, theta_loop_specs
 

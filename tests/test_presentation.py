@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import braidforge as bf
 from braidforge import words as W
 from braidforge.presentation import (Elimination, FPGroup, HomologyClass,
-                                     abelianization_matrix, homology_h1,
-                                     in_row_lattice, smith_normal_form,
-                                     tietze_minimize)
+                                     abelianization_matrix, abelianization_rows,
+                                     homology_h1, in_row_lattice,
+                                     smith_normal_form, tietze_minimize)
 
-from helpers import complete_graph, minimized, morse, theta_cells
+from helpers import (complete_graph, minimized, morse, reference_snf_diagonal,
+                     theta_cells)
 
 
 # -- words ---------------------------------------------------------------------
@@ -55,6 +56,7 @@ def test_cyclically_equal():
 def test_abelianization_rows():
     p = FPGroup(("a", "b"), ((1, 2, -1, -2), (1, 1, -2)))
     assert abelianization_matrix(p) == [[0, 0], [2, -1]]
+    assert abelianization_rows(p) == [{}, {0: 2, 1: -1}]
 
 
 def test_theta_n4_minimal_abelianization_zero():
@@ -130,6 +132,23 @@ def test_snf_invariant_under_permutation(rows, rnd):
 @settings(max_examples=60, deadline=None)
 def test_snf_diagonal_matches_determinantal_divisors(rows):
     assert smith_normal_form(rows).diagonal == _determinantal_diagonal(rows)
+
+
+@given(small_matrices)
+@example([[2, 0], [0, 3]])
+@example([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+@example([[2**70, 0], [0, 3]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 0], [0, 0]])
+@example([[1, 1], [1, -1]])
+@settings(max_examples=300, deadline=None)
+def test_snf_matches_full_scan_reference(rows):
+    # heap-ordered pivots against the earlier min-over-all-entries routine,
+    # with the matrix given as dense rows and as {column: value} rows
+    expected = reference_snf_diagonal(rows)
+    assert smith_normal_form(rows).diagonal == expected
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert smith_normal_form(sparse).diagonal == expected
 
 
 def test_snf_huge_entries_use_bignum_fallback():
