@@ -52,26 +52,35 @@ def _manifest(command: str, inputs: dict[str, Path], params: dict) -> dict:
 
 
 def _emit(args, text: str, payload: dict):
-    if getattr(args, "json", None) is None:
+    if args.json is None:
         print(text)
         return
     blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.json == "-":
         sys.stdout.write(blob)
     else:
-        Path(args.json).write_text(blob)
+        try:
+            Path(args.json).write_text(blob)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --json file {args.json}: "
+                                  f"{exc.strerror or exc}") from None
         print(text)
 
 
-def _load_graph(path: str) -> Graph:
-    p = Path(path)
+def _read_json(path: str, what: str):
+    """The JSON value of an input file.  A file that cannot be opened, is not
+    UTF-8 or is not JSON is a ValidationError naming the file."""
     try:
-        data = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"no such graph file: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"graph file is not valid JSON: {exc}")
-    return parse_graph(data)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, too deep
+        reason = str(exc)
+    raise ValidationError(f"cannot read {what} file {path}: {reason}")
+
+
+def _load_graph(path: str) -> Graph:
+    return parse_graph(_read_json(path, "graph"))
 
 
 def _complex_for(args) -> CubeComplex:
@@ -103,30 +112,17 @@ def _signed_indices(word) -> list:
     return [[abs(x) - 1, 1 if x > 0 else -1] for x in word]
 
 
-def _presentation_payload(mp, manifest, og) -> dict:
-    return {
-        "manifest": manifest,
-        "generators": [str(c) for c in mp.generators],
-        "relators": [_signed_indices(w) for w, _ in mp.relators],
-        "relator_sources": [str(src) for _, src in mp.relators],
-        "tree_conditions": check_tree_conditions(og).as_dict(),
-    }
-
-
 def _fp_payload(fp: FPGroup, manifest) -> dict:
     return {
         "manifest": manifest,
         "generators": list(fp.generators),
         "relators": [_signed_indices(w) for w in fp.relators],
-        "relator_sources": [p for p in fp.provenance],
+        "relator_sources": list(fp.provenance),
     }
 
 
 def _load_fp(path: str) -> FPGroup:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read presentation {path}: {exc}")
+    data = _read_json(path, "presentation")
     for key in ("generators", "relators"):
         if not isinstance(data, dict) or not isinstance(data.get(key), list):
             raise ValidationError(f"presentation {path} has no {key!r} list")
@@ -137,13 +133,19 @@ def _load_fp(path: str) -> FPGroup:
                                   "generators are distinct non-empty strings")
     rels = []
     for r, word in enumerate(data["relators"]):
+        rel = []
         for letter in word if isinstance(word, list) else [word]:
-            if (not isinstance(letter, list) or len(letter) != 2
-                    or letter[0] not in range(len(gens)) or letter[1] not in (1, -1)):
+            try:
+                i, s = map(json_int, letter)
+                ok = isinstance(letter, list) and i in range(len(gens)) and s in (1, -1)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
                 raise ValidationError(
                     f"presentation {path}: relator {r} has letter {letter!r}; "
                     f"letters are [generator index 0..{len(gens) - 1}, +1 or -1]")
-        rels.append(tuple((i + 1) * s for i, s in word))
+            rel.append((i + 1) * s)
+        rels.append(tuple(rel))
     return FPGroup(gens, tuple(rels))
 
 
@@ -186,8 +188,9 @@ def cmd_cells(args):
 
 def cmd_present(args):
     cx, mp = _morse_for(args)
-    _emit(args, str(mp),
-          _presentation_payload(mp, _graph_manifest(args, "present"), cx.og))
+    payload = _fp_payload(from_morse(mp), _graph_manifest(args, "present"))
+    payload["tree_conditions"] = check_tree_conditions(cx.og).as_dict()
+    _emit(args, str(mp), payload)
     return 0
 
 
@@ -253,10 +256,7 @@ def _loop_ids(item: dict, index: int, key: str):
 
 
 def _parse_loops_file(path: str):
-    try:
-        data = json.loads(Path(path).read_text())
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read loops file {path}: {exc}")
+    data = _read_json(path, "loops")
     loops = data.get("loops", []) if isinstance(data, dict) else None
     if not isinstance(loops, list):
         raise ValidationError(f"loops file {path} is not an object with a 'loops' list")
@@ -265,9 +265,9 @@ def _parse_loops_file(path: str):
         if not isinstance(item, dict):
             raise ValidationError(f"loop {index} is not an object: {item!r}")
         kind = item.get("type")
-        required = {"Y": ("k", "m", "n"), "O": ("cycle",)}.get(kind)
-        if required is None:
+        if kind not in ("Y", "O"):
             raise ValidationError(f"unknown loop type {kind!r}")
+        required = ("k", "m", "n") if kind == "Y" else ("cycle",)
         missing = [key for key in required if key not in item]
         if missing:
             raise ValidationError(f"loop {index} ({kind}) has no {missing[0]!r}")
@@ -325,7 +325,7 @@ def cmd_stabilize(args):
     lines = [header]
     for r in report.rows:
         new = "-" if r.new_relators is None else str(r.new_relators)
-        lift = "-" if r.lifting_ok is None else ("ok" if r.lifting_ok else "FAIL")
+        lift = "-" if r.lifting_ok is None else "ok"
         lines.append(f"{r.n:>3} {r.generators:>5} {r.relators:>5} {new:>5} "
                      f"{lift:>5} {r.minimized_generators:>5}  {r.h1}")
     _emit(args, "\n".join(lines), payload)
@@ -334,11 +334,8 @@ def cmd_stabilize(args):
 
 def cmd_rep_verify(args):
     fp = _load_fp(args.presentation)
-    try:
-        adata = json.loads(Path(args.assignment).read_text())
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read assignment {args.assignment}: {exc}")
-    assignment = UnitaryAssignment.from_json_dict(adata)
+    assignment = UnitaryAssignment.from_json_dict(
+        _read_json(args.assignment, "assignment"))
     report = verify_representation(fp, assignment, tol=args.tol)
     manifest = _manifest("rep-verify",
                          {"presentation": Path(args.presentation),
@@ -411,6 +408,9 @@ def build_parser() -> _Parser:
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
+        p.add_argument("--json", nargs="?", const="-", default=None,
+                       metavar="PATH", help="emit machine JSON (to PATH, or "
+                       "stdout when no path is given)")
         return p
 
     def graph_n(p, with_steps=True):
@@ -419,9 +419,6 @@ def build_parser() -> _Parser:
         if with_steps:
             p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                            help="bound on the flow expansions of one rewrite")
-        p.add_argument("--json", nargs="?", const="-", default=None,
-                       metavar="PATH", help="emit machine JSON (to PATH, or "
-                       "stdout when no path is given)")
 
     p = add("subdivide", cmd_subdivide, help="insert degree-2 vertices for n particles")
     graph_n(p, with_steps=False)
@@ -452,13 +449,11 @@ def build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
-    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
 
     p = add("rep-verify", cmd_rep_verify, help="check a unitary assignment")
     p.add_argument("presentation")
     p.add_argument("assignment")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
 
     p = add("rep-solve", cmd_rep_solve, help="solve for a unitary representation")
     p.add_argument("presentation")
@@ -466,7 +461,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
 
     p = add("locally-abelian", cmd_locally_abelian,
             help="scalar Y-loop ansatz and phase constraints")

@@ -25,6 +25,13 @@ def _norm_edge(u, v) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def _json_edge(e) -> Edge:
+    """An edge [u, v] read from a graph file, as a normalised pair."""
+    if not isinstance(e, (list, tuple)) or len(e) != 2:
+        raise ValueError(f"{e!r} is not a pair of vertex ids")
+    return _norm_edge(json_int(e[0]), json_int(e[1]))
+
+
 @dataclass
 class Graph:
     vertices: tuple[int, ...]
@@ -105,24 +112,19 @@ def parse_graph(data: dict) -> Graph:
             raise GraphFormatError(f"malformed graph file: {key!r}: {exc}") from exc
 
     vertices = tuple(sorted(read("vertices", json_int)))
-    raw_edges, raw_tree = (read(key, lambda e: tuple(json_int(x) for x in e))
-                           for key in ("edges", "tree_edges"))
+    edges = tuple(sorted(read("edges", _json_edge)))
+    tree = frozenset(read("tree_edges", _json_edge))
     if len(set(vertices)) != len(vertices):
         raise GraphFormatError("duplicate vertex ids")
     vset = set(vertices)
-    for e in raw_edges:
-        if len(e) != 2 or e[0] not in vset or e[1] not in vset:
+    for e in edges:
+        if e[0] not in vset or e[1] not in vset:
             raise GraphFormatError(f"edge {e} has unknown endpoints")
-    edges = tuple(sorted(_norm_edge(*e) for e in raw_edges))
-    tree = frozenset(_norm_edge(*e) for e in raw_tree)
-    edge_multiset = list(edges)
     for e in tree:
-        if e not in edge_multiset:
+        if e not in edges:
             raise GraphFormatError(f"tree edge {e} is not a graph edge")
         if e[0] == e[1]:
             raise GraphFormatError(f"loop {e} cannot be a tree edge")
-    if len(tree) != len(set(tree)):
-        raise GraphFormatError("duplicate tree edges")
 
     if vertices and _reachable(vertices[0], edges) != vset:
         raise GraphFormatError("multiple components")

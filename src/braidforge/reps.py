@@ -21,6 +21,7 @@ from .words import free_reduce
 
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-6      # eigenvalues this close form one cluster
+STEP_DECAY = 0.002         # solver step at iteration it: step / (1 + STEP_DECAY * it)
 
 
 @dataclass
@@ -34,9 +35,10 @@ class UnitaryAssignment:
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (self.k, self.k):
                 raise ValidationError(f"matrix for {name} is not {self.k}x{self.k}")
-            if unitarity_defect(mat) > UNITARITY_TOL:
+            defect = unitarity_defect(mat)
+            if not defect <= UNITARITY_TOL:     # a NaN defect fails too
                 raise ValidationError(f"matrix for {name} is not unitary "
-                                      f"(defect {unitarity_defect(mat):.2e})")
+                                      f"(defect {defect:.2e})")
             checked[name] = mat
         self.matrices = checked
 
@@ -66,9 +68,9 @@ class UnitaryAssignment:
         for name, entries in data["matrices"].items():
             try:
                 flat = np.array([complex(re, im) for re, im in entries])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # an int beyond float range
                 raise ValidationError(
-                    f"matrix for {name} is not a list of [re, im] pairs") from None
+                    f"matrix for {name} is not a list of [re, im] pairs of floats") from None
             if flat.size != k * k:
                 raise ValidationError(f"matrix for {name} has {flat.size} entries, needs {k * k}")
             mats[name] = flat.reshape(k, k)
@@ -170,7 +172,6 @@ class SolveOptions:
     restarts: int = 20
     iterations: int = 2000
     step: float = 0.2
-    step_decay: float = 0.002
     tol: float = 1e-8
 
 
@@ -191,7 +192,7 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
 
     Restart i starts from Haar-random matrices drawn with seed + i.  All
     restarts descend together, stacked on one axis and sharing the step
-    schedule step / (1 + step_decay * it); a restart leaves the stack at the
+    schedule step / (1 + STEP_DECAY * it); a restart leaves the stack at the
     iteration where its loss falls below (tol / 10)^2, or stays to the
     iteration cap.  The best final loss wins, ties going to the lower restart
     index."""
@@ -232,7 +233,7 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
         if not stay:
             break
         live = [live[j] for j in stay]
-        eta = opts.step / (1.0 + opts.step_decay * it)
+        eta = opts.step / (1.0 + STEP_DECAY * it)
         mats = polar_retract(mats[:, stay] - eta * grads[:, stay])
     best = min(range(opts.restarts), key=lambda r: (residuals[r], r))
 

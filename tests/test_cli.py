@@ -1,13 +1,19 @@
+import copy
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import braidforge as bf
-from braidforge.cli import main
+from braidforge.cli import _load_fp, main
 from braidforge.fixtures import fixture_path
 
 THETA = str(fixture_path("theta"))
@@ -340,6 +346,16 @@ LOOPS4 = {"loops": [
      'whose graph sits under "graph"'),
     ("h1", {k: v for k, v in THETA_GRAPH.items() if k != "tree_edges"},
      "malformed graph file: missing key 'tree_edges'"),
+    # a loop type that is not a string, a tree edge of three ids, a letter
+    # whose index is a bool, and a non-finite matrix entry
+    ("physical", {"loops": [{"type": ["Y"], "k": 4, "m": 6, "n": 9}]},
+     "unknown loop type ['Y']"),
+    ("h1", dict(THETA_GRAPH, tree_edges=THETA_GRAPH["tree_edges"][:-1] + [[1, 2, 3]]),
+     "'tree_edges': [1, 2, 3] is not a pair of vertex ids"),
+    ("rep-solve", {"generators": ["a"], "relators": [[[True, 1]]]},
+     "relator 0 has letter [True, 1]"),
+    ("rep-verify", {"k": 2, "matrices": {"a": [[math.nan, 0], [0, 0], [0, 0], [1, 0]]}},
+     "matrix for a is not unitary (defect nan)"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
@@ -354,6 +370,151 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
             "stabilize": ["stabilize", str(bad), "--from", "2", "--to", "3"]}[command]
     assert main(argv) == 2
     assert culprit in capsys.readouterr().err
+
+
+def test_float_letters_read_as_integers(tmp_path):
+    # letters follow the integer rule of every other input file: 1.0 is 1
+    exact, floats = tmp_path / "exact.json", tmp_path / "floats.json"
+    exact.write_text(json.dumps({"generators": ["a", "b"], "relators": [[[1, 1], [1, 1]]]}))
+    floats.write_text(json.dumps({"generators": ["a", "b"],
+                                  "relators": [[[1.0, 1], [1, 1.0]]]}))
+    assert _load_fp(str(floats)) == _load_fp(str(exact))
+    assert main(["rep-solve", str(floats), "-k", "1", "--restarts", "1"]) == 0
+
+
+# valid inputs of the kind perfbench's cli-small workload writes: the theta
+# graph, a two-particle loop system, the minimized theta n = 2 presentation
+# and the identity assignment at k = 2
+LOOPS2 = {"loops": [{"type": "Y", "k": 4, "m": 6, "n": 9, "spectators": []},
+                    {"type": "O", "cycle": [5, 6, 7, 8, 1, 11, 10, 9], "spectators": [2]},
+                    {"type": "O", "cycle": [1, 2, 3, 4, 5, 6, 7, 8], "spectators": [9]}]}
+MIN2 = {"generators": ["{e(1,8),2}", "{e(1,11),2}", "{e(5,9),6}"], "relators": []}
+ASSIGN2 = {"k": 2, "matrices": {g: [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+                                for g in MIN2["generators"]}}
+VALID_INPUTS = {"graph": THETA_GRAPH, "loops": LOOPS2, "presentation": MIN2,
+                "assignment": ASSIGN2}
+ARGV_READING = {"GRAPH": ["h1", "GRAPH", "-n", "2"],
+                "LOOPS": ["physical", THETA, "-n", "2", "--loops", "LOOPS"],
+                "PRES": ["rep-verify", "PRES", "ASSIGN"],
+                "ASSIGN": ["rep-verify", "PRES", "ASSIGN"],
+                "OUT": ["rep-verify", "PRES", "ASSIGN", "--json", "OUT"]}
+
+
+@pytest.mark.parametrize("bad, kind", [
+    *((bad, kind) for bad in ("GRAPH", "LOOPS", "PRES", "ASSIGN")
+      for kind in ("directory", "not UTF-8", "missing")),
+    ("OUT", "directory"),
+    ("OUT", "missing"),
+])
+def test_unreadable_file_exit_2(tmp_path, capsys, bad, kind):
+    # every input file is read in one place, and --json PATH written in one
+    # place, whose failures exit 2 and name the file
+    files = {name: tmp_path / f"{name.lower()}.json" for name in ARGV_READING}
+    files["PRES"].write_text(json.dumps(MIN2))
+    files["ASSIGN"].write_text(json.dumps(ASSIGN2))
+    if kind == "directory":
+        files[bad].unlink(missing_ok=True)
+        files[bad].mkdir()
+    elif kind == "not UTF-8":
+        files[bad].write_bytes(b'{"k": "\xff"}')
+    else:
+        files[bad].unlink(missing_ok=True)
+        if bad == "OUT":
+            files[bad] = tmp_path / "no-such-dir" / "out.json"
+    argv = [str(files[a]) if a in files else a for a in ARGV_READING[bad]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    verb = "write --json" if bad == "OUT" else "read"
+    assert f"cannot {verb} " in err and str(files[bad]) in err and "Traceback" not in err
+
+
+DELETE, DIRECTORY = "<delete the key>", "<a directory>"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5)
+
+
+@st.composite
+def _edits(draw):
+    """(input, key path, new value): one key of one valid input replaced by
+    a drawn JSON value, or deleted."""
+    name = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    doc, path = VALID_INPUTS[name], []
+    while isinstance(doc, (dict, list)) and doc and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict)
+                                   else range(len(doc))))
+        path.append(key)
+        doc = doc[key]
+    value = draw(st.just(DELETE) | JSON_VALUES) if path else draw(JSON_VALUES)
+    return name, tuple(path), value
+
+
+def _write_edited(path: Path, doc, keys, value):
+    """Write `doc` with `value` at the key path `keys`; a value of DIRECTORY
+    or of bytes at the empty path replaces the file itself."""
+    if value == DIRECTORY:
+        path.mkdir()
+    elif isinstance(value, bytes):
+        path.write_bytes(value)
+    elif not keys:
+        path.write_text(json.dumps(value))
+    else:
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value == DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+
+
+GEN = MIN2["generators"][0]
+
+
+@given(edit=_edits())
+@example(edit=("graph", ("tree_edges", 0), [1, 2, 3]))
+@example(edit=("loops", ("loops", 0, "type"), ["Y"]))
+@example(edit=("presentation", ("relators",), [[[True, 1]]]))
+@example(edit=("presentation", ("relators",), [[[1.0, 1], [1, 1.0]]]))
+@example(edit=("assignment", ("matrices", GEN, 0), [math.nan, 0]))
+@example(edit=("assignment", ("matrices", GEN, 0), [math.inf, 0]))
+@example(edit=("assignment", ("matrices", GEN, 0), [10 ** 400, 0]))
+@example(edit=("graph", (), b"[" * 100_000 + b"]" * 100_000))
+@example(edit=("graph", (), DIRECTORY))
+@example(edit=("loops", (), DIRECTORY))
+@example(edit=("presentation", (), DIRECTORY))
+@example(edit=("assignment", (), DIRECTORY))
+@example(edit=("graph", (), b"\xff\xfe{}"))
+@example(edit=("loops", (), b"\xff\xfe{}"))
+@example(edit=("presentation", (), b"\xff\xfe{}"))
+@example(edit=("assignment", (), b"\xff\xfe{}"))
+@example(edit=("--json", (), DIRECTORY))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_no_input_file_ends_in_a_traceback(edit):
+    # the CLI computes or exits 2 or 3 on every input file; a traceback
+    # would escape main and fail the example
+    name, keys, value = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {key: Path(tmp, f"{key}.json") for key in (*VALID_INPUTS, "--json")}
+        for key, doc in VALID_INPUTS.items():
+            if key != name:
+                files[key].write_text(json.dumps(doc))
+        _write_edited(files[name], VALID_INPUTS.get(name), keys, value)
+        out = ["--json", str(files["--json"])]
+        graph, loops = str(files["graph"]), str(files["loops"])
+        runs = {"graph": [["h1", graph, "-n", "2"],
+                          ["physical", graph, "-n", "2", "--loops", loops]],
+                "loops": [["physical", graph, "-n", "2", "--loops", loops]],
+                "--json": [["h1", graph, "-n", "2"]]}.get(
+            name, [["rep-verify", str(files["presentation"]), str(files["assignment"])]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for argv in runs:
+                assert main(argv + out) in (0, 2, 3)
 
 
 @pytest.mark.parametrize("argv, digest", [

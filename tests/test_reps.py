@@ -1,4 +1,5 @@
 import hashlib
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -7,9 +8,10 @@ import pytest
 import braidforge as bf
 from braidforge.errors import NoRepresentationFound, ValidationError
 from braidforge.presentation import FPGroup
-from braidforge.reps import (ComponentLabel, SolveOptions, _loss_and_grads,
-                             haar_unitary, locally_abelian_assignment,
-                             polar_retract, unitarity_defect)
+from braidforge.reps import (STEP_DECAY, ComponentLabel, SolveOptions,
+                             _loss_and_grads, haar_unitary,
+                             locally_abelian_assignment, polar_retract,
+                             unitarity_defect)
 
 from helpers import complex_for, minimized, morse, theta_loop_specs
 
@@ -60,6 +62,17 @@ def test_eval_word_identity_exchange_matrix():
 def test_unitarity_enforced():
     with pytest.raises(ValidationError, match="unitary"):
         assign(u=np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_matrix_is_not_unitary(bad):
+    # a NaN defect compares False against any tolerance; it must still fail
+    with pytest.raises(ValidationError, match="matrix for a is not unitary"):
+        bf.UnitaryAssignment(2, {"a": np.array([[bad, 0], [0, 1]], dtype=complex)})
+    data = {"k": 2, "matrices": {"a": [[bad, 0], [0, 0], [0, 0], [1, 0]]}}
+    with pytest.raises(ValidationError, match="matrix for a is not unitary"):
+        bf.UnitaryAssignment.from_json_dict(data)
 
 
 # -- verification -----------------------------------------------------------------
@@ -255,7 +268,7 @@ def _reference_solve(p, k, seed, opts):
             if loss < (opts.tol * 0.1) ** 2:
                 stop = it
                 break
-            eta = opts.step / (1.0 + opts.step_decay * it)
+            eta = opts.step / (1.0 + STEP_DECAY * it)
             mats = [polar_retract(m - eta * g) for m, g in zip(mats, grads)]
         runs.append((loss_and_grads(mats)[0], stop, mats))
     best = min(range(opts.restarts), key=lambda i: (runs[i][0], i))
