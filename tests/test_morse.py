@@ -195,20 +195,33 @@ def test_morse_presentation_digest(name, graph, n, digest):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
-def test_morse_presentation_k5_five_particles():
-    # the largest rung: pins generators, relators with their source 2-cells,
-    # and the first homology
+def _k5_presentation_digest(n):
+    """K5 at n particles: the presentation, the sha256 of its generators and
+    its relators with their source 2-cells, letter for letter."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g = bf.subdivide_for(complete_graph(5), 5)
-    mp = bf.morse_presentation(bf.CubeComplex(bf.ordered(g), 5))
-    assert (len(mp.generators), len(mp.relators)) == (126, 641)
-    assert homology_h1(from_morse(mp)) == HomologyClass(6, (2,))
+        g = bf.subdivide_for(complete_graph(5), n)
+    mp = bf.morse_presentation(bf.CubeComplex(bf.ordered(g), n))
     blob = json.dumps([[str(c) for c in mp.generators],
                        [[list(w), str(tau)] for w, tau in mp.relators]],
                       separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == \
-        "1a98258da5b1fc0bd8331896380fbcba65c496de40c8705b7b4f5ba552508cd3"
+    return mp, hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_morse_presentation_k5_five_particles():
+    # the largest rung: pins generators, relators with their source 2-cells,
+    # and the first homology
+    mp, digest = _k5_presentation_digest(5)
+    assert (len(mp.generators), len(mp.relators)) == (126, 641)
+    assert homology_h1(from_morse(mp)) == HomologyClass(6, (2,))
+    assert digest == "1a98258da5b1fc0bd8331896380fbcba65c496de40c8705b7b4f5ba552508cd3"
+
+
+def test_morse_presentation_k5_six_particles():
+    # one rung up, pinned before the flow moved to integer codes
+    mp, digest = _k5_presentation_digest(6)
+    assert (len(mp.generators), len(mp.relators)) == (209, 1482)
+    assert digest == "9e4a8c6824f331b2d4e7c2331e2903dec5a8b492d60d2827b7f70a5b8232ca53"
 
 
 def test_rewrite_concatenation_homomorphism():
