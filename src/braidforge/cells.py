@@ -10,23 +10,25 @@ cells, which survive into the quotient complex, are those whose vertices are
 all blocked and whose edges are all non-order-respecting.
 
 A `Cell` is a tuple (edges, vertices) of sorted tuples, hashed and compared
-in C.  `Cell()` sorts its parts; cells derived from sorted ones insert their
-one new vertex or edge in order and skip the sort through `_cell`.
+in C; cells are what the library takes and returns.  Inside a complex a
+cell is coded by its parts, a sorted tuple of indices into `og.edges` and a
+mask with bit v set for vertex v; a 1-cell is one int, (edge index << shift)
+| mask, and an inverted letter its complement ~code.  The matching rule is
+stated once, as bit operations on masks precomputed per complex (the bit
+that blocks each vertex, each edge's endpoints, each tree edge's witnesses,
+each vertex's parent edge).  `classify`, `critical_cells`, `path_to_base`,
+the boundary words and the flow in `morse.rewrite_word` all read it.
 
 `critical_cells` generates the critical cells directly from that rule, in
 any dimension up to N.  The full enumeration `cells` remains only for the
 `cells` command, the 1-skeleton oracle and `validate_matching`.
-
-`classify` keeps no memo of its own.  On the rewrite path every 1-cell's
-flow image is computed once per complex and kept in `flow_cache`, so each
-distinct cell is classified there once.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 
@@ -63,12 +65,6 @@ class Cell(tuple):
 def _cell(edges: tuple[Edge, ...], vertices: tuple[int, ...]) -> Cell:
     """A cell from parts the caller has already sorted."""
     return tuple.__new__(Cell, (edges, vertices))
-
-
-def _inserted(items: tuple, x) -> tuple:
-    """The sorted tuple `items` with `x` inserted in order."""
-    i = bisect_left(items, x)
-    return items[:i] + (x,) + items[i:]
 
 
 Letter = tuple[Cell, int]
@@ -118,68 +114,212 @@ class CubeComplex:
             check_subdivision(og.source, n).require()
         self.og = og
         self.n = n
-        self._edge_set = frozenset(og.edges)
-        # tree edge (tau, iota) -> the children v of tau with tau < v < iota
-        self._witnesses = {(t, i): frozenset(v for v in og.children[t] if t < v < i)
-                           for t, i in og.tree}
-        # every 1-cell the Morse flow visits -> its image (morse.rewrite_word)
-        self.flow_cache: dict[Cell, CellWord] = {}
+        labels = range(1, og.n + 1)
+        # vertex v is bit v of a mask; a 1-cell's code puts its edge index
+        # above the vertex bits
+        self._shift = og.n + 1
+        self._vertex_bits = (1 << self._shift) - 1
+        self._bit = {v: 1 << v for v in labels}
+        self._edge_index = {e: i for i, e in enumerate(og.edges)}
+        # vertex bit -> the bit whose occupancy blocks the vertex when it is
+        # occupied: its parent's, and the root's own, since the root is
+        # blocked by convention
+        self._block = {1 << v: 1 << og.parent.get(v, v) for v in labels}
+        # vertex bit -> index of the parent edge (root absent)
+        self._parent_edge = {1 << v: self._edge_index[og.parent_edge(v)]
+                             for v in og.parent}
+        self._tau_bit = [1 << t for t, _ in og.edges]
+        self._iota_bit = [1 << i for _, i in og.edges]
+        self._ends = [(1 << t) | (1 << i) for t, i in og.edges]
+        # tree edge (tau, iota) -> mask of the children v of tau with
+        # tau < v < iota; None for a deleted edge
+        self._witness = [sum(1 << v for v in og.children[t] if t < v < i)
+                         if (t, i) in og.tree else None for t, i in og.edges]
+        # 1-cell code -> its flow image as signed generator indices
+        # (morse.rewrite_word)
+        self.flow_cache: dict[int, tuple[int, ...]] = {}
 
-    # -- basic predicates ---------------------------------------------------
+    # -- codes ---------------------------------------------------------------
+
+    def _parts(self, cell) -> tuple[tuple[int, ...], int] | None:
+        """(sorted edge indices, vertex mask) of a valid cell, else None."""
+        edges, vertices = cell
+        if len(edges) + len(vertices) != self.n:
+            return None
+        indices, used = [], 0
+        for e in edges:
+            i = self._edge_index.get(e)
+            if i is None or used & self._ends[i]:
+                return None
+            indices.append(i)
+            used |= self._ends[i]
+        vmask = 0
+        for v in vertices:
+            bit = self._bit.get(v)
+            if bit is None or (used | vmask) & bit:
+                return None
+            vmask |= bit
+        return tuple(sorted(indices)), vmask
+
+    def _valid_parts(self, cell) -> tuple[tuple[int, ...], int]:
+        parts = self._parts(cell)
+        if parts is None:
+            raise ValidationError(f"{cell} is not a valid {self.n}-particle cell")
+        return parts
+
+    def cell_of(self, parts) -> Cell:
+        edges, vmask = parts
+        vertices = []
+        while vmask:
+            low = vmask & -vmask
+            vertices.append(low.bit_length() - 1)
+            vmask ^= low
+        return _cell(tuple([self.og.edges[i] for i in edges]), tuple(vertices))
+
+    def encode(self, cell: Cell) -> int:
+        """The code of a 1-cell, refusing anything else."""
+        edges, vmask = self._valid_parts(cell)
+        if len(edges) != 1:
+            raise ValidationError(f"{cell} is a {len(edges)}-cell; letters are 1-cells")
+        return (edges[0] << self._shift) | vmask
+
+    def decode(self, code: int) -> Cell:
+        return self.cell_of(((code >> self._shift,), code & self._vertex_bits))
+
+    @cached_property
+    def generators(self) -> list[Cell]:
+        """The critical 1-cells in canonical order."""
+        return self.critical_cells(1)
+
+    @cached_property
+    def generator_index(self) -> dict[int, int]:
+        """Code of each critical 1-cell -> its 1-based generator index."""
+        return {self.encode(c): i for i, c in enumerate(self.generators, 1)}
+
+    # -- the matching rule, on parts -----------------------------------------
+
+    def _occupied(self, edges, vmask) -> int:
+        for e in edges:
+            vmask |= self._ends[e]
+        return vmask
+
+    def _unblocked(self, vmask: int, occupied: int) -> int:
+        """The bit of the lowest vertex of `vmask` that is not blocked when
+        `occupied` is, or 0.  A vertex is blocked when its parent is
+        occupied, so e(v) would collide; the root always is."""
+        block = self._block
+        while vmask:
+            low = vmask & -vmask
+            if not occupied & block[low]:
+                return low
+            vmask ^= low
+        return 0
+
+    def _respected(self, edges, vmask) -> bool:
+        """Whether some edge respects the order: a deleted edge never does,
+        a tree edge fails when a strictly smaller sibling of iota(e), one of
+        its witnesses, is a cell vertex."""
+        witness = self._witness
+        return any(witness[e] is not None and not vmask & witness[e] for e in edges)
+
+    def _replaced(self, edges, vmask, low: int):
+        """The cell with the vertex of bit `low` replaced by its parent edge."""
+        e = self._parent_edge[low]
+        return tuple(sorted(edges + (e,))), vmask ^ low
+
+    def _preimage(self, edges, vmask, occupied):
+        """The unique redundant facet mapped onto the cell, if any: drop a
+        tree edge e, put back iota(e), and require that iota(e) is the lowest
+        unblocked vertex of the resulting redundant cell."""
+        found = None
+        for k, e in enumerate(edges):
+            if self._witness[e] is None:
+                continue
+            iota = self._iota_bit[e]
+            facet_occupied = occupied ^ self._tau_bit[e]
+            facet = (edges[:k] + edges[k + 1:], vmask | iota)
+            if self._unblocked(facet[1], facet_occupied) != iota:
+                continue
+            # not critical, so redundant unless it is itself collapsible
+            if facet[0] and self._preimage(*facet, facet_occupied) is not None:
+                continue
+            if found is not None:
+                raise MatchingError(
+                    f"matching not injective: {self.cell_of(found)} and "
+                    f"{self.cell_of(facet)} both map to {self.cell_of((edges, vmask))}")
+            found = facet
+        return found
+
+    def _match(self, edges, vmask):
+        """(kind, partner parts) of a cell: critical with no partner,
+        collapsible with its redundant facet, or redundant with the cell
+        that replaces its lowest unblocked vertex by the parent edge."""
+        occupied = self._occupied(edges, vmask)
+        low = self._unblocked(vmask, occupied)
+        if not low and not self._respected(edges, vmask):
+            return CRITICAL, None
+        preimage = self._preimage(edges, vmask, occupied)
+        if preimage is not None:
+            return COLLAPSIBLE, preimage
+        if not low:
+            raise MatchingError(
+                f"{len(edges)}-cell {self.cell_of((edges, vmask))} is neither "
+                "critical, collapsible nor redundant; matching is broken")
+        return REDUNDANT, self._replaced(edges, vmask, low)
+
+    def match_letter(self, code: int):
+        """`_match` of the 1-cell with this code."""
+        return self._match((code >> self._shift,), code & self._vertex_bits)
+
+    def square(self, parts) -> tuple[int, int, int, int]:
+        """The four letters around a square 2-cell, each a 1-cell code or
+        its complement for an inverted letter.  With e the edge whose
+        (tau, iota) pair is larger and e' the other one, the traversal is
+        {e',tau(e)} {e,tau(e')}^-1 {e',iota(e)}^-1 {e,iota(e')}, which is the
+        orientation and start corner whose rewritten relators match the
+        canonical worked examples letter for letter."""
+        (small, big), vmask = parts
+        a, b = (small << self._shift) | vmask, (big << self._shift) | vmask
+        return (a | self._tau_bit[big], ~(b | self._tau_bit[small]),
+                ~(a | self._iota_bit[big]), b | self._iota_bit[small])
+
+    # -- the rule on cells ---------------------------------------------------
 
     def is_valid_cell(self, cell: Cell) -> bool:
-        if cell.n != self.n:
-            return False
-        used: set[int] = set()
-        for e in cell.edges:
-            if e not in self._edge_set:
-                return False
-            if e[0] in used or e[1] in used:
-                return False
-            used.update(e)
-        for v in cell.vertices:
-            if v in used or not 1 <= v <= self.og.n:
-                return False
-            used.add(v)
-        return True
-
-    def is_order_respecting(self, e: Edge, cell: Cell) -> bool:
-        """Deleted edges never respect the order; a tree edge fails when a
-        strictly smaller sibling of iota(e) sits in the cell.  `cell` may be
-        any (edges, vertices) pair."""
-        witnesses = self._witnesses.get(e)
-        return witnesses is not None and witnesses.isdisjoint(cell[1])
+        return self._parts(cell) is not None
 
     def is_critical(self, cell: Cell) -> bool:
-        return (self.lowest_unblocked(cell) is None
-                and not any(self.is_order_respecting(e, cell) for e in cell.edges))
+        edges, vmask = self._valid_parts(cell)
+        return (not self._unblocked(vmask, self._occupied(edges, vmask))
+                and not self._respected(edges, vmask))
 
-    def lowest_unblocked(self, cell: Cell) -> int | None:
-        """The lowest unblocked vertex of a cell or sorted (edges, vertices)
-        pair, or None.  The root is blocked by convention; otherwise v is
-        blocked when the parent vertex is occupied, so e(v) would collide."""
-        edges, vertices = cell
-        occupied = set(vertices).union(*edges)
-        parent, root = self.og.parent, self.og.root
-        return next((v for v in vertices
-                     if v != root and parent[v] not in occupied), None)
+    def classify(self, cell: Cell) -> MorseClass:
+        kind, partner = self._match(*self._valid_parts(cell))
+        return MorseClass(kind, None if partner is None else self.cell_of(partner))
+
+    def matching_image(self, cell: Cell) -> Cell:
+        """Replace the lowest unblocked vertex v by its parent edge e(v)."""
+        cls = self.classify(cell)
+        if cls.kind != REDUNDANT:
+            raise MatchingError(f"matching image requested for {cls.kind} cell {cell}")
+        return cls.partner
 
     # -- enumeration ---------------------------------------------------------
 
-    @staticmethod
-    def _matchings(edges: tuple[Edge, ...], dim: int):
-        """Each set of `dim` pairwise disjoint edges out of the sorted
-        `edges`, in lexicographic order, with the set of its endpoints."""
+    def _matchings(self, edges, dim: int):
+        """Each set of `dim` pairwise disjoint edges out of the edge indices
+        `edges`, in order, with the mask of its endpoints."""
+        ends = self._ends
 
         def grow(start, chosen, used):
             if len(chosen) == dim:
                 yield chosen, used
                 return
-            for i in range(start, len(edges)):
-                a, b = edges[i]
-                if a not in used and b not in used:
-                    yield from grow(i + 1, chosen + (edges[i],), used | {a, b})
-        return grow(0, (), frozenset())
+            for k in range(start, len(edges)):
+                e = edges[k]
+                if not used & ends[e]:
+                    yield from grow(k + 1, chosen + (e,), used | ends[e])
+        return grow(0, (), 0)
 
     def cells(self, dim: int) -> list[Cell]:
         """All cells of the given dimension, in canonical order."""
@@ -188,30 +328,31 @@ class CubeComplex:
         if dim > self.n:
             return []
         out = []
-        verts = range(1, self.og.n + 1)
-        for es, used in self._matchings(self.og.edges, dim):
-            free = [v for v in verts if v not in used]
+        edges = self.og.edges
+        for es, used in self._matchings(range(len(edges)), dim):
+            free = [v for v, bit in self._bit.items() if not used & bit]
+            es = tuple(edges[e] for e in es)
             for vs in combinations(free, self.n - dim):
                 out.append(_cell(es, vs))
         out.sort(key=Cell.sort_key)
         return out
 
-    def _blocked_vertex_sets(self, used: frozenset[int], k: int):
-        """Each increasing k-tuple of vertices outside `used` that are all
+    def _blocked_vertex_sets(self, used: int, k: int):
+        """The mask of each k-set of vertices outside `used` that are all
         blocked when `used` is occupied.  A vertex is blocked by its parent,
-        whose label is smaller, so scanning labels upward and taking the root
-        or any vertex whose parent is already occupied reaches every such
-        tuple exactly once."""
-        parent, root, top = self.og.parent, self.og.root, self.og.n
+        whose label is smaller, so scanning labels upward and taking each
+        vertex that is blocked once occupied reaches every such set once."""
+        block, bits = self._block, list(self._bit.values())
 
-        def grow(vs, last, occupied):
-            if len(vs) == k:
-                yield vs
+        def grow(count, start, vmask, occupied):
+            if count == k:
+                yield vmask
                 return
-            for v in range(last + 1, top + 1):
-                if v not in occupied and (v == root or parent[v] in occupied):
-                    yield from grow(vs + (v,), v, occupied | {v})
-        return grow((), 0, used)
+            for j in range(start, len(bits)):
+                bit = bits[j]
+                if not occupied & bit and (occupied | bit) & block[bit]:
+                    yield from grow(count + 1, j + 1, vmask | bit, occupied | bit)
+        return grow(0, 0, 0, used)
 
     def critical_cells(self, dim: int) -> list[Cell]:
         """The critical cells of the given dimension (any 0 <= dim <= n), in
@@ -224,88 +365,26 @@ class CubeComplex:
             raise ValueError("dimension must be >= 0")
         if dim > self.n:
             return []
-        edges = tuple(e for e in self.og.edges if self._witnesses.get(e, True))
+        edges = [e for e, witness in enumerate(self._witness) if witness != 0]
         out = []
         for es, used in self._matchings(edges, dim):
-            for vs in self._blocked_vertex_sets(used, self.n - dim):
-                if not any(self.is_order_respecting(e, (es, vs)) for e in es):
-                    out.append(_cell(es, vs))
+            for vmask in self._blocked_vertex_sets(used, self.n - dim):
+                if not self._respected(es, vmask):
+                    out.append(self.cell_of((es, vmask)))
         out.sort(key=Cell.sort_key)
         return out
 
-    # -- matching ------------------------------------------------------------
-
-    def matching_image(self, cell: Cell) -> Cell:
-        """Replace the lowest unblocked vertex v by its parent edge e(v)."""
-        cls = self.classify(cell)
-        if cls.kind != REDUNDANT:
-            raise MatchingError(f"matching image requested for {cls.kind} cell {cell}")
-        return cls.partner
-
-    def classify(self, cell: Cell) -> MorseClass:
-        if not self.is_valid_cell(cell):
-            raise ValidationError(f"{cell} is not a valid {self.n}-particle cell")
-        v = self.lowest_unblocked(cell)
-        if v is None and not any(self.is_order_respecting(e, cell) for e in cell.edges):
-            return MorseClass(CRITICAL)
-        preimage = self._matching_preimage(cell)
-        if preimage is not None:
-            return MorseClass(COLLAPSIBLE, preimage)
-        if v is None:
-            raise MatchingError(
-                f"{cell.dim}-cell {cell} is neither critical, collapsible nor "
-                "redundant; matching is broken")
-        return MorseClass(REDUNDANT, self._replace_vertex(cell, v))
-
-    def _replace_vertex(self, cell: Cell, v: int) -> Cell:
-        return _cell(_inserted(cell.edges, self.og.parent_edge(v)),
-                     tuple(u for u in cell.vertices if u != v))
-
-    def _matching_preimage(self, cell: Cell) -> Cell | None:
-        """The unique redundant facet mapped onto `cell`, if any: drop a tree
-        edge e, put back iota(e), and require that iota(e) is the lowest
-        unblocked vertex of the resulting redundant cell.  `cell` may be any
-        sorted (edges, vertices) pair; facets stay raw pairs until found."""
-        edges, vertices = cell
-        found = None
-        for i, e in enumerate(edges):
-            if e not in self.og.tree:
-                continue
-            facet = (edges[:i] + edges[i + 1:], _inserted(vertices, e[1]))
-            if self.lowest_unblocked(facet) != e[1]:
-                continue
-            # not critical, so redundant unless it is itself collapsible
-            if facet[0] and self._matching_preimage(facet) is not None:
-                continue
-            if found is not None:
-                raise MatchingError(
-                    f"matching not injective: {found} and {_cell(*facet)} "
-                    f"both map to {_cell(*cell)}")
-            found = _cell(*facet)
-        return found
-
     # -- boundary ------------------------------------------------------------
 
-    def boundary_word(self, cell: Cell) -> CellWord:
-        """Four-letter word around a square 2-cell.  With e the edge whose
-        (tau, iota) pair is larger and e' the other one, the traversal is
-        {e',tau(e)} {e,tau(e')}^-1 {e',iota(e)}^-1 {e,iota(e')}, which is the
-        orientation and start corner whose rewritten relators match the
-        canonical worked examples letter for letter."""
+    def boundary_codes(self, cell: Cell) -> tuple[int, int, int, int]:
+        """The letter codes around a square 2-cell (see `square`)."""
         if cell.dim != 2:
             raise ValueError("boundary words are defined for 2-cells")
-        e_small, e_big = cell.edges
-        vs = cell.vertices
-        mk = lambda e, v: _cell((e,), _inserted(vs, v))
-        return (
-            (mk(e_small, e_big[0]), +1),
-            (mk(e_big, e_small[0]), -1),
-            (mk(e_small, e_big[1]), -1),
-            (mk(e_big, e_small[1]), +1),
-        )
+        return self.square(self._valid_parts(cell))
 
-    def boundary_cells(self, cell: Cell) -> list[Cell]:
-        return [c for c, _ in self.boundary_word(cell)]
+    def boundary_word(self, cell: Cell) -> CellWord:
+        return tuple((self.decode(x), 1) if x >= 0 else (self.decode(~x), -1)
+                     for x in self.boundary_codes(cell))
 
     # -- falling path ---------------------------------------------------------
 
@@ -317,26 +396,24 @@ class CubeComplex:
         """Word of collapsible 1-cells from the base configuration {1..n} to
         `config`, obtained by reversing the falling path of the matching."""
         config = frozenset(config)
-        cur = Cell((), config)
-        if not self.is_valid_cell(cur):
+        parts = self._parts(Cell((), config))
+        if parts is None:
             raise ValidationError(f"{sorted(config)} is not a configuration")
+        vmask = parts[1]
         bound = math.comb(self.og.n, self.n) + 1
-        base = tuple(range(1, self.n + 1))
+        base = sum(self._bit[v] for v in self.base_config)
         falling: list[Letter] = []
-        steps = 0
-        while cur.vertices != base:
-            steps += 1
-            if steps > bound:
+        while vmask != base:
+            if len(falling) >= bound:
                 raise MatchingError("falling path does not reach the base; "
                                     "matching is broken")
-            v = self.lowest_unblocked(cur)
-            if v is None:
+            low = self._unblocked(vmask, vmask)
+            if not low:
                 raise MatchingError(
-                    f"configuration {list(cur.vertices)} is fully blocked but "
-                    "is not the base; the critical 0-cell is not unique")
-            step = self._replace_vertex(cur, v)
-            falling.append((step, +1))
-            cur = _cell((), _inserted(step.vertices, self.og.parent[v]))
+                    f"configuration {list(self.cell_of(((), vmask)).vertices)} is "
+                    "fully blocked but is not the base; the critical 0-cell is not unique")
+            falling.append((self.cell_of(self._replaced((), vmask, low)), +1))
+            vmask ^= low | self._block[low]
         return inverse_word(tuple(falling))
 
     # -- validation -----------------------------------------------------------
@@ -350,56 +427,21 @@ class CubeComplex:
                 + ", ".join(map(str, crits)))
 
     def validate_matching(self):
-        """Full matching audit: trichotomy, bijectivity of the 0-1 matching,
-        injectivity of the 1-2 matching, and acyclicity of the flow."""
+        """Full matching audit over the cells of dimension 0-2: every cell
+        classifies, a redundant cell and its collapsible partner name each
+        other, every configuration falls to the base, and the flow expands
+        every redundant 1-cell without returning to it."""
+        from .morse import rewrite_word
         self.assert_unique_critical_zero_cell()
-        zero, one, two = self.cells(0), self.cells(1), self.cells(2)
-        cls = {c: self.classify(c) for c in zero + one + two}
-        of_kind = lambda cells, kind: [c for c in cells if cls[c].kind == kind]
-
-        red0 = of_kind(zero, REDUNDANT)
-        col1 = of_kind(one, COLLAPSIBLE)
-        images = [cls[c].partner for c in red0]
-        if sorted(images, key=Cell.sort_key) != sorted(col1, key=Cell.sort_key):
-            raise MatchingError("matching is not a bijection from redundant "
-                                "0-cells onto collapsible 1-cells")
-        if len(set(images)) != len(images):
-            raise MatchingError("matching not injective on 0-cells")
-
-        red1 = of_kind(one, REDUNDANT)
-        col2 = of_kind(two, COLLAPSIBLE)
-        img1 = {}
-        for c in red1:
-            t = cls[c].partner
-            if t in img1:
-                raise MatchingError(f"matching not injective: {img1[t]} and {c}")
-            img1[t] = c
-        for t in col2:
-            if t not in img1:
-                raise MatchingError(f"collapsible 2-cell {t} has no redundant facet")
-
-        # acyclicity of the discrete flow, level by level
-        def check_acyclic(redundant, down):
-            red_set = set(redundant)
-            succ = {}
-            for c in redundant:
-                succ[c] = [d for d in down(cls[c].partner) if d != c and d in red_set]
-            state: dict[Cell, int] = {}
-
-            def visit(c):
-                state[c] = 1
-                for d in succ[c]:
-                    s = state.get(d, 0)
-                    if s == 1:
-                        raise MatchingError(f"matching flow has a cycle through {c}")
-                    if s == 0:
-                        visit(d)
-                state[c] = 2
-
-            for c in redundant:
-                if state.get(c, 0) == 0:
-                    visit(c)
-
-        check_acyclic(red0, lambda t: [Cell((), t.vertices + (v,))
-                                       for v in t.edges[0]])
-        check_acyclic(red1, self.boundary_cells)
+        cls = {c: self.classify(c) for d in (0, 1, 2) for c in self.cells(d)}
+        back = {REDUNDANT: COLLAPSIBLE, COLLAPSIBLE: REDUNDANT}
+        for c, m in cls.items():
+            if m.kind in back and m.partner in cls \
+                    and cls[m.partner] != MorseClass(back[m.kind], c):
+                raise MatchingError(f"{m.kind} cell {c} and its partner "
+                                    f"{m.partner} are not matched to each other")
+        for c, m in cls.items():
+            if c.dim == 0:
+                self.path_to_base(c.vertices)
+            elif c.dim == 1 and m.kind == REDUNDANT:
+                rewrite_word(self, ((c, 1),))

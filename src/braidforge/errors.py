@@ -3,9 +3,11 @@ failures to exit 3.  Also the strict integer reader of the JSON loaders."""
 
 
 def json_int(value) -> int:
-    """int(value) for an id or count read from JSON, without truncation:
-    bool and numbers with a fractional part raise ValueError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value) for an id or count read from JSON, without truncation or
+    parsing: only ints and floats without a fractional part pass; bool,
+    strings and everything else raise ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

@@ -160,12 +160,15 @@ def parse_graph(data: dict) -> Graph:
         rotation = {}
         for v_str, nbrs in data["rotation"].items():
             try:
-                v = json_int(v_str)
+                # JSON object keys are strings: a vertex id as str(v) writes it
+                v = int(v_str)
+                if str(v) != v_str:
+                    raise ValueError(v_str)
                 rotation[v] = tuple(json_int(x) for x in nbrs)
             except (TypeError, ValueError):
                 raise GraphFormatError(
-                    f"rotation entry {v_str!r}: {nbrs!r} is not a list of "
-                    "neighbor ids") from None
+                    f"rotation entry {v_str!r}: {nbrs!r} is not a decimal vertex "
+                    "id with a list of neighbor ids") from None
             if v not in vset:
                 raise GraphFormatError(f"rotation for unknown vertex {v}")
         for v in vertices:

@@ -61,14 +61,15 @@ def skeleton_presentation(cx: CubeComplex) -> SkeletonPresentation:
         raise ValidationError("1-skeleton is disconnected; cannot present")
 
     generator_cells = [c for c in one if c not in tree_cells]
-    index = {c: i + 1 for i, c in enumerate(generator_cells)}
+    # letter code -> generator index; spanning-tree letters have none
+    index = {cx.encode(c): i + 1 for i, c in enumerate(generator_cells)}
 
     relators = []
     provenance = []
     for tau in two:
         # free reduction only; these are raw boundary relators
-        reduced = free_reduce(sign * index[cell] for cell, sign in cx.boundary_word(tau)
-                              if cell not in tree_cells)
+        reduced = free_reduce(index[x] if x >= 0 else -index[~x]
+                              for x in cx.boundary_codes(tau) if (x if x >= 0 else ~x) in index)
         if reduced:
             relators.append(reduced)
             provenance.append(str(tau))

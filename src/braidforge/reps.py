@@ -110,8 +110,13 @@ class ResidualReport:
 
 def verify_representation(p: FPGroup, assignment: UnitaryAssignment,
                           tol: float = 1e-8) -> ResidualReport:
-    eye = np.eye(assignment.k)
-    devs = [float(np.linalg.norm(eval_word(r, assignment, p.generators) - eye))
+    # every generator has a matrix before anything k x k is built
+    for name in p.generators:
+        if name not in assignment.matrices:
+            raise ValidationError(f"no matrix assigned to generator {name}")
+    # an empty relator always holds, as in the solver
+    eye = np.eye(assignment.k) if any(p.relators) else None
+    devs = [float(np.linalg.norm(eval_word(r, assignment, p.generators) - eye)) if r else 0.0
             for r in p.relators]
     return ResidualReport(devs, tol)
 

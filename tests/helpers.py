@@ -1,6 +1,7 @@
 """Shared builders and golden theta-graph cells for the test suite."""
 
 import math
+import random
 from functools import lru_cache
 
 import braidforge as bf
@@ -64,6 +65,28 @@ def theta_cells(n: int) -> dict[str, Cell]:
     return d
 
 
+def cell_word_to_indices(word, generators) -> tuple[int, ...]:
+    """A word of critical cells as signed 1-based generator indices."""
+    index = {c: i + 1 for i, c in enumerate(generators)}
+    return tuple(s * index[c] for c, s in word)
+
+
+def inject_flow_cycle(monkeypatch, cx) -> tuple[Cell, Cell]:
+    """Break the matching of complexes over `cx`'s graph: the square of a
+    redundant cell b, met while expanding a redundant letter a of the first
+    critical square, now reads b a, so the flow returns to a.  The flow reads
+    a square as four letter codes, so the codes are patched.  Returns a, b."""
+    redundant = lambda word: [c for c, _ in word if cx.classify(c).kind == "redundant"]
+    a = redundant(cx.boundary_word(cx.critical_cells(2)[0]))[0]
+    b = next(c for c in redundant(cx.boundary_word(cx.matching_image(a))) if c != a)
+    square_b = cx.matching_image(b)
+    real, code_a, code_b = bf.CubeComplex.square, cx.encode(a), cx.encode(b)
+    monkeypatch.setattr(bf.CubeComplex, "square", lambda self, tau:
+                        (code_b, code_a) if self.cell_of(tau) == square_b
+                        else real(self, tau))
+    return a, b
+
+
 def cw(cells: dict, *letters) -> tuple:
     """Cell word from ('a1', +1)-style pairs using a theta cell table."""
     return tuple((cells[k], s) for k, s in letters)
@@ -99,6 +122,23 @@ def raw_theta() -> bf.Graph:
     return bf.parse_graph({"vertices": [1, 2],
                            "edges": [[1, 2], [1, 2], [1, 2]],
                            "tree_edges": [[1, 2]], "root": 1})
+
+
+def random_multigraph(rng: random.Random) -> dict:
+    """A random tree on 2-5 scrambled ids plus up to 4 extra edges, loops and
+    parallel edges included, rooted at a random leaf; simple graphs get a
+    random rotation half of the time."""
+    ids = rng.sample(range(1, 10), rng.randint(2, 5))
+    tree = [[v, rng.choice(ids[:i])] for i, v in enumerate(ids) if i]
+    edges = tree + [[rng.choice(ids), rng.choice(ids)] for _ in range(rng.randint(0, 4))]
+    leaves = [v for v in ids if sum(v in e for e in tree) == 1]
+    data = {"vertices": ids, "edges": edges, "tree_edges": tree,
+            "root": rng.choice(leaves)}
+    pairs = [tuple(sorted(e)) for e in edges]
+    if len(set(pairs)) == len(pairs) and all(a != b for a, b in pairs) and rng.random() < 0.5:
+        nbrs = {v: [b if a == v else a for a, b in edges if v in (a, b)] for v in ids}
+        data["rotation"] = {str(v): rng.sample(ws, len(ws)) for v, ws in nbrs.items()}
+    return data
 
 
 def complete_graph(n: int) -> bf.Graph:

@@ -16,7 +16,7 @@ from braidforge.morse import rewrite_word
 
 from helpers import (E18, E59, E111, cell, complete_bipartite_33,
                      complete_graph, complex_for, gal_euler_characteristic,
-                     graph, og, raw_theta, theta_cells)
+                     graph, inject_flow_cycle, og, raw_theta, theta_cells)
 
 
 def test_theta_critical_one_cells_n2():
@@ -215,6 +215,14 @@ def test_matching_validation_all_fixtures():
         complex_for("theta", n).validate_matching()
 
 
+def test_matching_validation_reports_a_flow_cycle(monkeypatch):
+    cx = bf.CubeComplex(og("theta"), 3)
+    a, b = inject_flow_cycle(monkeypatch, cx)
+    with pytest.raises(MatchingError, match="cycle") as err:
+        cx.validate_matching()
+    assert str(a) in str(err.value) or str(b) in str(err.value)
+
+
 def test_collapsible_cells_form_spanning_tree():
     # collapsible 1-cells connect all configurations without cycles
     for n in (2, 3):
@@ -361,14 +369,11 @@ def test_derived_cells_are_sorted(name, n):
     zero, one, two = cx.cells(0), cx.cells(1), cx.cells(2)
     for c in zero + one + two:
         _assert_sorted_cell(c)
-    for c in zero + one:
-        v = cx.lowest_unblocked(c)
-        if v is not None:
-            _assert_sorted_cell(cx._replace_vertex(c, v))
-    for c in one + two:
-        found = cx._matching_preimage(c)
-        if found is not None:
-            _assert_sorted_cell(found)
+        # a redundant cell's partner replaces its lowest unblocked vertex by
+        # the parent edge; a collapsible cell's partner is its preimage
+        partner = cx.classify(c).partner
+        if partner is not None:
+            _assert_sorted_cell(partner)
     for c in two:
         for letter, _ in cx.boundary_word(c):
             _assert_sorted_cell(letter)

@@ -16,6 +16,8 @@ import braidforge as bf
 from braidforge.cli import _load_fp, main
 from braidforge.fixtures import fixture_path
 
+from helpers import inject_flow_cycle
+
 THETA = str(fixture_path("theta"))
 PATHG = str(fixture_path("path"))
 
@@ -356,6 +358,22 @@ LOOPS4 = {"loops": [
      "relator 0 has letter [True, 1]"),
     ("rep-verify", {"k": 2, "matrices": {"a": [[math.nan, 0], [0, 0], [0, 0], [1, 0]]}},
      "matrix for a is not unitary (defect nan)"),
+    # ids, k and letters are JSON numbers, not strings that parse as ones;
+    # rotation keys, which JSON makes strings, are decimal ids as written
+    ("h1", dict(THETA_GRAPH, vertices=[str(v) for v in THETA_GRAPH["vertices"]]),
+     "'vertices': '1' is not an integer"),
+    ("h1", dict(THETA_GRAPH, edges=THETA_GRAPH["edges"][:-1] + [["1", 11]]), "'edges'"),
+    ("h1", dict(THETA_GRAPH, root="1"), "root '1'"),
+    ("h1", dict(THETA_GRAPH, rotation=dict(THETA_GRAPH["rotation"], **{"1": ["2", 8, 11]})),
+     "rotation entry '1'"),
+    ("h1", dict(THETA_GRAPH, rotation={(f" {v} " if v == "1" else v): nbrs
+                                       for v, nbrs in THETA_GRAPH["rotation"].items()}),
+     "rotation entry ' 1 '"),
+    ("rep-solve", {"generators": ["a", "b"], "relators": [[["1", " 1 "]]]},
+     "relator 0 has letter ['1', ' 1 ']"),
+    ("rep-verify", {"k": "2", "matrices": {}}, "assignment 'k' is '2'"),
+    ("physical", {"loops": [{"type": "Y", "k": "4", "m": 6, "n": 9}]},
+     "loop 0 (Y) has 'k' = '4'"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
@@ -370,6 +388,22 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
             "stabilize": ["stabilize", str(bad), "--from", "2", "--to", "3"]}[command]
     assert main(argv) == 2
     assert culprit in capsys.readouterr().err
+
+
+def test_rep_verify_names_a_missing_matrix_before_allocating(tmp_path, capsys, monkeypatch):
+    # k = 100000 with no matrices: exit 2 naming the first generator, without
+    # building a 100000 x 100000 identity first
+    real_eye = bf.reps.np.eye
+
+    def small_eye(k, *args, **kwargs):
+        assert k <= 2, f"np.eye({k}) built"
+        return real_eye(k, *args, **kwargs)
+    monkeypatch.setattr(bf.reps.np, "eye", small_eye)
+    pres, assign = tmp_path / "pres.json", tmp_path / "assign.json"
+    pres.write_text(json.dumps(MIN2))
+    assign.write_text(json.dumps({"k": 100000, "matrices": {}}))
+    assert main(["rep-verify", str(pres), str(assign)]) == 2
+    assert "no matrix assigned to generator {e(1,8),2}" in capsys.readouterr().err
 
 
 def test_float_letters_read_as_integers(tmp_path):
@@ -582,13 +616,7 @@ def test_cyclic_matching_exit_2(monkeypatch, capsys):
     # break theta n=3: the square of a redundant cell b met while expanding a
     # redundant letter a of the first relator now leads back to a
     cx = bf.CubeComplex(bf.ordered(bf.parse_graph(THETA_GRAPH)), 3)
-    redundant = lambda word: [c for c, _ in word if cx.classify(c).kind == "redundant"]
-    a = redundant(cx.boundary_word(cx.critical_cells(2)[0]))[0]
-    b = next(c for c in redundant(cx.boundary_word(cx.matching_image(a))) if c != a)
-    square_b = cx.matching_image(b)
-    real = bf.CubeComplex.boundary_word
-    monkeypatch.setattr(bf.CubeComplex, "boundary_word", lambda self, cell:
-                        ((b, 1), (a, 1)) if cell == square_b else real(self, cell))
+    a, b = inject_flow_cycle(monkeypatch, cx)
     assert main(["present", THETA, "-n", "3"]) == 2
     err = capsys.readouterr().err
     assert "cycle" in err and (str(a) in err or str(b) in err)

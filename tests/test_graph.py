@@ -10,7 +10,7 @@ from braidforge.errors import GraphFormatError, SubdivisionError, ValidationErro
 from braidforge.fixtures import load_fixture
 from braidforge.graph import check_tree_conditions, relabel_canonically
 
-from helpers import graph, og, raw_theta
+from helpers import graph, og, random_multigraph, raw_theta
 
 
 def test_parse_theta_fixture():
@@ -277,30 +277,13 @@ def test_subdivided_graph_is_canonical():
         assert relabel_canonically(s).edges == s.edges
 
 
-def _random_multigraph(rng: random.Random) -> dict:
-    """A random tree on 2-5 scrambled ids plus up to 4 extra edges, loops and
-    parallel edges included, rooted at a random leaf; simple graphs get a
-    random rotation half of the time."""
-    ids = rng.sample(range(1, 10), rng.randint(2, 5))
-    tree = [[v, rng.choice(ids[:i])] for i, v in enumerate(ids) if i]
-    edges = tree + [[rng.choice(ids), rng.choice(ids)] for _ in range(rng.randint(0, 4))]
-    leaves = [v for v in ids if sum(v in e for e in tree) == 1]
-    data = {"vertices": ids, "edges": edges, "tree_edges": tree,
-            "root": rng.choice(leaves)}
-    pairs = [tuple(sorted(e)) for e in edges]
-    if len(set(pairs)) == len(pairs) and all(a != b for a, b in pairs) and rng.random() < 0.5:
-        nbrs = {v: [b if a == v else a for a, b in edges if v in (a, b)] for v in ids}
-        data["rotation"] = {str(v): rng.sample(ws, len(ws)) for v, ws in nbrs.items()}
-    return data
-
-
 def test_subdivide_and_order_random_multigraphs_digest():
     # pins subdivision and ordering, errors included, on 1,500 random
     # multigraphs at n = 1..4
     out = []
     for seed in range(1500):
         rng = random.Random(seed)
-        data, n = _random_multigraph(rng), rng.randint(1, 4)
+        data, n = random_multigraph(rng), rng.randint(1, 4)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")

@@ -1,21 +1,25 @@
 import functools
 import hashlib
 import json
+import random
 import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidforge as bf
-from braidforge.cells import Cell, MorseClass, inverse_word
+from braidforge.cells import Cell, inverse_word
 from braidforge.errors import MatchingError, RewriteLimitError, ValidationError
-from braidforge.morse import cell_word_to_indices, rewrite_word
+from braidforge.morse import rewrite_word
 from braidforge.presentation import (HomologyClass, abelianization_matrix,
                                      from_morse, homology_h1, in_row_lattice)
 from braidforge import words as W
 
-from helpers import (complete_bipartite_33, complete_graph, complex_for, cw,
-                     edge_crossings, morse, og, theta_cells, theta_loop_specs)
+from helpers import (cell_word_to_indices, complete_bipartite_33, complete_graph,
+                     complex_for, cw, edge_crossings, morse, og, random_multigraph,
+                     theta_cells, theta_loop_specs)
 
 
 def test_free_cancellation_of_critical_pair():
@@ -115,7 +119,7 @@ def test_rewrite_step_bound_counts_only_redundant_expansions():
     word = path + ((c["g"], 1), (c["a1"], -1)) + inverse_word(path)
     out = rewrite_word(cx, word, max_steps=0)
     assert out.output == ((c["g"], 1), (c["a1"], -1))
-    assert set(cx.flow_cache) == {cell for cell, _ in word}
+    assert set(cx.flow_cache) == {cx.encode(cell) for cell, _ in word}
 
 
 def _rescanning_rewrite(cx, word, classify):
@@ -144,33 +148,65 @@ def _rescanning_rewrite(cx, word, classify):
             return tuple(current)
 
 
+def _assert_flow_matches_reference(cx):
+    """Every square boundary, and some products of one with the inverse of
+    another, rewrite as the rescanning reference rewrites them."""
+    classify = functools.cache(cx.classify)
+    words = [cx.boundary_word(tau) for tau in cx.cells(2)]
+    words += [u + inverse_word(v) for u, v in zip(words, words[7::3])]
+    for word in words:
+        assert rewrite_word(cx, word).output == _rescanning_rewrite(cx, word, classify)
+
+
 def test_flow_matches_rescanning_reference():
     cases = [complex_for("theta", 3), complex_for("theta", 4),
              bf.CubeComplex(bf.ordered(bf.subdivide_for(complete_graph(4), 3)), 3)]
     for cx in cases:
-        classify = functools.cache(cx.classify)
-        words = [cx.boundary_word(tau) for tau in cx.cells(2)]
-        words += [u + inverse_word(v) for u, v in zip(words, words[7::3])]
-        for word in words:
-            assert rewrite_word(cx, word).output == \
-                _rescanning_rewrite(cx, word, classify)
+        _assert_flow_matches_reference(cx)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_flow_matches_rescanning_reference_on_random_multigraphs(seed):
+    # the seeded random multigraphs of the subdivision digest, at two, three
+    # and four particles; complexes with more than 400 squares are skipped
+    data = random_multigraph(random.Random(seed))
+    for n in (2, 3, 4):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                og = bf.ordered(bf.subdivide_for(bf.parse_graph(data), n))
+        except ValidationError:
+            continue            # e.g. a loop at the root: no subdivision serves
+        cx = bf.CubeComplex(og, n)
+        if len(cx.cells(2)) <= 400:
+            _assert_flow_matches_reference(cx)
 
 
 class _CyclicComplex:
-    """Two redundant 1-cells a and b whose matched squares each lead back to
-    the other cell."""
+    """Two redundant 1-cells a and b, coded 1 and 2, whose matched squares
+    each lead back to the other cell: a's square reads a b, b's reads b a^-1."""
     a, b = Cell(((1, 2),), (5,)), Cell(((1, 2),), (6,))
-    square = {a: Cell(((1, 2), (5, 6)), ()), b: Cell(((1, 2), (7, 8)), ())}
+    square_of = {1: Cell(((1, 2), (5, 6)), ()), 2: Cell(((1, 2), (7, 8)), ())}
+    generators, generator_index = [], {}
 
     def __init__(self):
         self.flow_cache = {}
 
-    def classify(self, cell):
-        return MorseClass("redundant", self.square[cell])
+    def encode(self, cell):
+        return {self.a: 1, self.b: 2}[cell]
 
-    def boundary_word(self, tau):
-        a, b = self.a, self.b
-        return ((a, 1), (b, 1)) if tau == self.square[a] else ((b, 1), (a, -1))
+    def decode(self, code):
+        return {1: self.a, 2: self.b}[code]
+
+    def cell_of(self, tau):
+        return tau
+
+    def match_letter(self, code):
+        return "redundant", self.square_of[code]
+
+    def square(self, tau):
+        return (1, 2) if tau == self.square_of[1] else (2, ~1)
 
 
 def test_cyclic_matching_raises_naming_the_cell():

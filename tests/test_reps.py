@@ -86,6 +86,21 @@ def test_free_presentation_always_passes():
     assert report.passed and report.max_deviation == 0.0
 
 
+def _no_identity(*args, **kwargs):
+    raise AssertionError("np.eye called")
+
+
+def test_verify_checks_every_generator_before_numpy(monkeypatch):
+    # a missing matrix is named before anything k x k is built, and an empty
+    # relator holds without an identity matrix
+    a = bf.UnitaryAssignment(2, {"a": EYE2})
+    monkeypatch.setattr(bf.reps.np, "eye", _no_identity)
+    with pytest.raises(ValidationError, match="no matrix assigned to generator b"):
+        bf.verify_representation(FPGroup(("a", "b", "c"), ((1, 2),)), a)
+    report = bf.verify_representation(FPGroup(("a",), ((),)), a)
+    assert report.deviations == [0.0] and report.passed
+
+
 def test_hand_built_assignment_passes():
     fp = theta4_group()
     a = theta4_assign(np.diag([np.exp(0.9j), np.exp(-1.3j)]), SWAP, EYE2)
