@@ -401,7 +401,7 @@ class CubeComplex:
             raise ValidationError(f"{sorted(config)} is not a configuration")
         vmask = parts[1]
         bound = math.comb(self.og.n, self.n) + 1
-        base = sum(self._bit[v] for v in self.base_config)
+        base = (1 << (self.n + 1)) - 2          # vertices 1..n
         falling: list[Letter] = []
         while vmask != base:
             if len(falling) >= bound:
