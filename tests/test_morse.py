@@ -110,6 +110,28 @@ def test_rewrite_step_bound_must_not_be_negative():
     assert cx.flow_cache == {}
 
 
+def test_rewrite_letters_are_one_cells():
+    # every letter is encoded, and so checked, before the flow starts
+    cx = bf.CubeComplex(og("theta"), 3)
+    c = theta_cells(3)
+    for bad in (c["t1"], Cell((), (1, 2, 3))):
+        with pytest.raises(ValidationError, match=re.escape(f"{bad} is a {bad.dim}-cell")):
+            rewrite_word(cx, ((c["g"], 1), (bad, 1)))
+    assert cx.flow_cache == {}
+
+
+def test_matched_square_must_hold_the_cell_once(monkeypatch):
+    # a redundant cell sits third or fourth on its matched square; a square
+    # cut to its first two letters no longer holds it
+    cx = bf.CubeComplex(og("theta"), 3)
+    word = cx.boundary_word(theta_cells(3)["t1"])
+    real = bf.CubeComplex.square
+    monkeypatch.setattr(bf.CubeComplex, "square", lambda self, tau: real(self, tau)[:2])
+    with pytest.raises(MatchingError, match=r"occurs 0 times in the boundary of its "
+                                            r"matched 2-cell \{e\("):
+        rewrite_word(cx, word)
+
+
 def test_rewrite_step_bound_counts_only_redundant_expansions():
     # critical and collapsible letters enter flow_cache on a fresh complex
     # too, but only a redundant cell's expansion counts against the bound
