@@ -15,8 +15,8 @@ from braidforge.presentation import (Elimination, FPGroup, HomologyClass,
                                      homology_h1, in_row_lattice,
                                      smith_normal_form, tietze_minimize)
 
-from helpers import (complete_graph, minimized, morse, reference_snf_diagonal,
-                     theta_cells)
+from helpers import (complete_graph, graph, minimized, morse,
+                     reference_snf_diagonal, theta_cells)
 
 
 # -- words ---------------------------------------------------------------------
@@ -42,6 +42,21 @@ def test_solve_for():
     assert W.free_reduce(W.substitute(rel, 3, expr)) == ()
     with pytest.raises(ValueError):
         W.solve_for((1, 2, 1), 1)
+
+
+letters = st.integers(min_value=-4, max_value=4).filter(bool)
+
+
+@given(st.lists(letters, max_size=30), st.integers(1, 4), st.lists(letters, max_size=8))
+@example([1, 2, -2, -1, 3], 3, [1, -1])
+@example([2, 1, -1, 1, 2], 1, [-2, 3, -3])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_substitute_matches_letterwise_substitution(word, gen, expr):
+    # words and expressions need not be reduced
+    inv = W.inverse(expr)
+    letterwise = [y for x in word
+                  for y in (expr if x == gen else inv if x == -gen else (x,))]
+    assert W.substitute(tuple(word), gen, tuple(expr)) == W.free_reduce(letterwise)
 
 
 def test_cyclically_equal():
@@ -419,3 +434,24 @@ def test_tietze_k5_n4_digest():
                       separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         "738336d7bd7da9b5e4ffc608b0b6705c793db960861ea1948306dab01cf76ecc"
+
+
+@pytest.mark.parametrize("name, n, sizes, digest", [
+    ("theta", 5, (1051, 1785, 3, 20),
+     "cb4790539fdd03730dd18c1327acfded5430f77ddb9e9c483315075207c8601d"),
+    ("K5", 3, (1106, 1650, 7, 119),
+     "04aba84e6df009ab2e98845a17e9c68cd8801d7a9a14d034ebf7c0ae04474b54"),
+], ids=["theta-5", "K5-3"])
+def test_tietze_oracle_digest(name, n, sizes, digest):
+    # the 1-skeleton oracle's presentation, thousands of relators long, pins
+    # the minimized group and the elimination log letter for letter
+    g = graph("theta") if name == "theta" else complete_graph(5)
+    cx = bf.CubeComplex(bf.ordered(bf.subdivide_for(g, n)), n)
+    group = bf.skeleton_presentation(cx).group
+    res = tietze_minimize(group)
+    assert (len(group.generators), len(group.relators),
+            len(res.group.generators), len(res.group.relators)) == sizes
+    blob = json.dumps([res.group.generators, res.group.relators, res.group.provenance,
+                       [[e.generator, e.relator, e.expression] for e in res.eliminations]],
+                      separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
