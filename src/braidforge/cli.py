@@ -492,6 +492,12 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"braidforge: computation failed: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        size = "".join(f" {flag} {getattr(args, dest)}" for flag, dest in
+                       (("-k", "dimension"), ("-n", "particles")) if hasattr(args, dest))
+        print(f"braidforge: computation failed: out of memory in {args.command}{size}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -81,26 +81,42 @@ def tietze_minimize(p: FPGroup, target: int | None = None,
     are renumbered once at the end (input indices sort like renumbered ones,
     so the preference is unaffected).  The elimination log records, per
     removed generator, the relator used and the substituted expression, both
-    over generator names."""
+    over generator names.
+
+    Candidates wait on a heap and each generator knows its holders, the
+    relators that hold it, so an elimination rewrites only those; a popped
+    candidate counts only if its relator still offers it.  Relators empty on
+    input are dropped with the first elimination."""
     sizes = sizes or {}
     names = p.generators
     relators = {ri: W.free_reduce(r) for ri, r in enumerate(p.relators)}
+    holders, heap = defaultdict(set), []
     live = list(range(1, len(names) + 1))
     log: list[Elimination] = []
 
-    while True:
-        candidates = [(-sizes.get(names[g - 1], 0), len(rel), g, ri)
-                      for ri, rel in relators.items()
-                      for g, count in Counter(map(abs, rel)).items() if count == 1]
-        if not candidates:
-            break
-        _, _, g, ri = min(candidates)
-        rel = relators.pop(ri)
+    def hold(ri, rel):
+        for g, count in Counter(map(abs, rel)).items():
+            holders[g].add(ri)
+            if count == 1:
+                heapq.heappush(heap, (-sizes.get(names[g - 1], 0), len(rel), g, ri))
+
+    for ri, rel in relators.items():
+        hold(ri, rel)
+    while heap:
+        _, length, g, ri = heapq.heappop(heap)
+        rel = relators[ri]
+        if len(rel) != length or rel.count(g) + rel.count(-g) != 1:
+            continue
         expr = W.solve_for(rel, g)
         log.append(Elimination(names[g - 1], _named(rel, names), _named(expr, names)))
         live.remove(g)
-        relators = {i: w for i, r in relators.items() if (w := W.substitute(r, g, expr))}
+        relators[ri] = ()
+        for i in holders.pop(g):
+            relators[i] = W.substitute(relators[i], g, expr)
+            hold(i, relators[i])
 
+    if log:
+        relators = {ri: r for ri, r in relators.items() if r}
     index = {g: i for i, g in enumerate(live, 1)}
     group = FPGroup(tuple(names[g - 1] for g in live),
                     tuple(tuple(index[x] if x > 0 else -index[-x] for x in r)

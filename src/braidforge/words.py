@@ -1,15 +1,20 @@
 """Free-group words as tuples of signed 1-based generator indices.
 
 Index i stands for the i-th generator, -i for its inverse.  The empty
-tuple is the identity.  All functions are pure and return new tuples.
+tuple is the identity.  All functions are pure and return tuples.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 Word = tuple[int, ...]
 
 
 def free_reduce(word) -> Word:
+    word = tuple(word)
+    if 0 not in word and 0 not in map(add, word, word[1:]):
+        return word                 # no neighbours cancel: already reduced
     out: list[int] = []
     for x in word:
         if x == 0:
@@ -33,18 +38,23 @@ def concat(*parts) -> Word:
 
 
 def substitute(word, gen: int, expr) -> Word:
-    """Replace every occurrence of generator `gen` by the word `expr`."""
+    """Replace every occurrence of generator `gen` by the word `expr`: splice
+    `expr` or its inverse into the reduced word at each occurrence, so that
+    letters can cancel only at the seams, where two reduced pieces meet."""
     if gen <= 0:
         raise ValueError("gen must be a positive index")
-    out: list[int] = []
-    for x in word:
-        if x == gen:
-            out.extend(expr)
-        elif x == -gen:
-            out.extend(inverse(expr))
-        else:
-            out.append(x)
-    return free_reduce(out)
+    word, expr = free_reduce(word), free_reduce(expr)
+    pieces = {gen: expr, -gen: inverse(expr)}
+    cuts = [i for i, x in enumerate(word) if x in pieces]
+    out = list(word[:cuts[0]] if cuts else word)
+    for i, j in zip(cuts, cuts[1:] + [len(word)]):
+        for piece in (pieces[word[i]], word[i + 1:j]):
+            k = 0
+            while out and k < len(piece) and out[-1] == -piece[k]:
+                out.pop()
+                k += 1
+            out.extend(piece[k:])
+    return tuple(out)
 
 
 def solve_for(relator, gen: int) -> Word:

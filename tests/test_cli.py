@@ -406,6 +406,26 @@ def test_rep_verify_names_a_missing_matrix_before_allocating(tmp_path, capsys, m
     assert "no matrix assigned to generator {e(1,8),2}" in capsys.readouterr().err
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("target, argv, named", [
+    ("braidforge.reps.haar_unitary", ["rep-solve", "PRES", "-k", "100000"],
+     "out of memory in rep-solve -k 100000"),
+    ("braidforge.cli.morse_presentation", ["present", THETA, "-n", "3"],
+     "out of memory in present -n 3"),
+])
+def test_out_of_memory_exits_3_naming_the_command(tmp_path, capsys, monkeypatch,
+                                                  target, argv, named):
+    # the patched call raises at once, so nothing large is allocated
+    monkeypatch.setattr(target, _out_of_memory)
+    pres = tmp_path / "pres.json"
+    pres.write_text(json.dumps(MIN2))
+    assert main([str(pres) if a == "PRES" else a for a in argv]) == 3
+    assert capsys.readouterr().err == f"braidforge: computation failed: {named}\n"
+
+
 def test_float_letters_read_as_integers(tmp_path):
     # letters follow the integer rule of every other input file: 1.0 is 1
     exact, floats = tmp_path / "exact.json", tmp_path / "floats.json"

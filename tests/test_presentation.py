@@ -441,11 +441,13 @@ def test_tietze_k5_n4_digest():
      "cb4790539fdd03730dd18c1327acfded5430f77ddb9e9c483315075207c8601d"),
     ("K5", 3, (1106, 1650, 7, 119),
      "04aba84e6df009ab2e98845a17e9c68cd8801d7a9a14d034ebf7c0ae04474b54"),
-], ids=["theta-5", "K5-3"])
+    ("K4", 4, (4733, 8514, 4, 197),
+     "6f6d43c04576cd345d6c807501bb85490b242ab4b00aabd7bfd8902b80ba4824"),
+], ids=["theta-5", "K5-3", "K4-4"])
 def test_tietze_oracle_digest(name, n, sizes, digest):
     # the 1-skeleton oracle's presentation, thousands of relators long, pins
     # the minimized group and the elimination log letter for letter
-    g = graph("theta") if name == "theta" else complete_graph(5)
+    g = graph("theta") if name == "theta" else complete_graph(int(name[1:]))
     cx = bf.CubeComplex(bf.ordered(bf.subdivide_for(g, n)), n)
     group = bf.skeleton_presentation(cx).group
     res = tietze_minimize(group)
