@@ -20,6 +20,7 @@ from helpers import inject_flow_cycle
 
 THETA = str(fixture_path("theta"))
 PATHG = str(fixture_path("path"))
+LASSO = str(fixture_path("lasso"))
 
 
 def run_cli(*argv):
@@ -582,6 +583,14 @@ def test_no_input_file_ends_in_a_traceback(edit):
      "53342a7c6710b14522e51d489b7afb2564f3a1e7a32e5faa57e2712afa9c61a5"),
     (["cells", THETA, "-n", "3", "--kind", "critical"],
      "49699c065407e3b53f4309f71fa3ef52ec624cdbaa980e2dd0f484e51c325667"),
+    (["subdivide", LASSO, "-n", "3"],
+     "52919ec4eade55958510fd87d6de32e64a1178053cb587cab2b8bff32b36d21d"),
+    (["h1", THETA, "-n", "3"],
+     "921a57b08455141d16e5463224e05b947004450375281e1e7d257da5129c1a32"),
+    (["oracle", THETA, "-n", "2"],
+     "fd9a5448364dfa3539cd5a4094b57bb4adbec704462c9646b2ae0fb2a1f48c2a"),
+    (["stabilize", THETA, "--from", "2", "--to", "4"],
+     "8a3fab487ea4b423cc62e201f009912f71aff728eb073c86c6a6f925bd49ebb7"),
 ])
 def test_json_artifact_digests(tmp_path, argv, digest):
     # pins the JSON artifacts byte for byte
@@ -592,6 +601,29 @@ def test_json_artifact_digests(tmp_path, argv, digest):
                        capture_output=True)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+PRES2_SHA = "4eb193c749cdc0804a2340382b084878767d3f5fc9bca13c9d04099a75a375d4"
+
+
+@pytest.mark.parametrize("argv, manifest", [
+    (["rep-verify", "PRES", "ASSIGN", "--tol", "1e-6"],
+     {"command": "rep-verify",
+      "inputs": {"assignment": "3ad50f8c95c6afbea4ea7444ffcb8bfc76cda20011eba848add91fe6889ee24d",
+                 "presentation": PRES2_SHA},
+      "parameters": {"tol": 1e-06}, "version": "0.1.0"}),
+    (["rep-solve", "PRES", "-k", "2", "--seed", "3", "--restarts", "4"],
+     {"command": "rep-solve", "inputs": {"presentation": PRES2_SHA},
+      "parameters": {"k": 2, "restarts": 4, "seed": 3, "tol": 1e-08}, "version": "0.1.0"}),
+])
+def test_rep_manifests(tmp_path, capsys, argv, manifest):
+    # the floats of these artifacts depend on the BLAS build, so the
+    # manifest is pinned instead of a digest of the whole artifact
+    files = {"PRES": tmp_path / "pres.json", "ASSIGN": tmp_path / "assign.json"}
+    files["PRES"].write_text(json.dumps(MIN2))
+    files["ASSIGN"].write_text(json.dumps(ASSIGN2))
+    assert main([str(files[a]) if a in files else a for a in argv] + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["manifest"] == manifest
 
 
 def _long_theta(arc: int) -> dict:
