@@ -297,13 +297,6 @@ class CubeComplex:
         kind, partner = self._match(*self._valid_parts(cell))
         return MorseClass(kind, None if partner is None else self.cell_of(partner))
 
-    def matching_image(self, cell: Cell) -> Cell:
-        """Replace the lowest unblocked vertex v by its parent edge e(v)."""
-        cls = self.classify(cell)
-        if cls.kind != REDUNDANT:
-            raise MatchingError(f"matching image requested for {cls.kind} cell {cell}")
-        return cls.partner
-
     # -- enumeration ---------------------------------------------------------
 
     def _matchings(self, edges, dim: int):

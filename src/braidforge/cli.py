@@ -3,8 +3,12 @@ minimal/physical -> homology -> stabilization -> representations.
 
 Exit codes: 1 usage, 2 validation (graph format, subdivision, tree), 3
 computation failure (rewrite bound, unsolvable loop system, no
-representation at tolerance).  Every JSON artifact embeds a manifest of the
-command, input hashes, parameters and tool version; equal manifests produce
+representation at tolerance).
+
+Every JSON artifact embeds a manifest, built in one place: the command, the
+SHA-256 of the bytes each input file was parsed from (each file is read once,
+so a piped input such as /dev/stdin is hashed as read), every other parsed
+option under its argparse dest, and the tool version.  Equal manifests produce
 byte-identical output.
 """
 
@@ -38,24 +42,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _manifest(command: str, inputs: dict[str, Path], params: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": {name: _sha256(p) for name, p in sorted(inputs.items())},
-        "parameters": {k: params[k] for k in sorted(params)},
-        "version": __version__,
-    }
-
-
 def _emit(args, text: str, payload: dict):
+    """Print `text`; with --json, write `payload` under the run's manifest."""
     if args.json is None:
         print(text)
         return
-    blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "fn", "json", "inputs", *args.inputs)}
+    manifest = {"command": args.command, "inputs": args.inputs,
+                "parameters": params, "version": __version__}
+    blob = json.dumps({"manifest": manifest, **payload}, sort_keys=True, indent=2) + "\n"
     if args.json == "-":
         sys.stdout.write(blob)
     else:
@@ -67,11 +63,16 @@ def _emit(args, text: str, payload: dict):
         print(text)
 
 
-def _read_json(path: str, what: str):
-    """The JSON value of an input file.  A file that cannot be opened, is not
-    UTF-8 or is not JSON is a ValidationError naming the file."""
+def _read_json(args, what: str):
+    """The JSON value of the input file given as option `what`.  The file is
+    read once, and the SHA-256 of the bytes read goes into `args.inputs` for
+    the manifest.  A file that cannot be opened, is not UTF-8 or is not JSON
+    is a ValidationError naming the file."""
+    path = getattr(args, what)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = Path(path).read_bytes()
+        args.inputs[what] = hashlib.sha256(data).hexdigest()
+        return json.loads(data.decode("utf-8"))
     except OSError as exc:
         reason = exc.strerror or str(exc)
     except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, too deep
@@ -79,12 +80,12 @@ def _read_json(path: str, what: str):
     raise ValidationError(f"cannot read {what} file {path}: {reason}")
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_graph(_read_json(path, "graph"))
+def _load_graph(args) -> Graph:
+    return parse_graph(_read_json(args, "graph"))
 
 
 def _complex_for(args) -> CubeComplex:
-    return CubeComplex(ordered(_load_graph(args.graph)), args.particles)
+    return CubeComplex(ordered(_load_graph(args)), args.particles)
 
 
 def _morse_for(args):
@@ -97,14 +98,9 @@ def _physical_for(args):
     """The physical presentation over the loops file, and H1."""
     cx, mp = _morse_for(args)
     minimized, h1 = minimize_morse(cx.og, mp)
-    specs = _parse_loops_file(args.loops)
+    specs = _parse_loops_file(args)
     return solve_physical_presentation(cx, minimized, specs, mp,
                                        max_steps=args.max_steps), h1
-
-
-def _graph_manifest(args, command: str, inputs=("graph",)) -> dict:
-    return _manifest(command, {name: Path(getattr(args, name)) for name in inputs},
-                     {"particles": args.particles, "max_steps": args.max_steps})
 
 
 def _signed_indices(word) -> list:
@@ -112,17 +108,17 @@ def _signed_indices(word) -> list:
     return [[abs(x) - 1, 1 if x > 0 else -1] for x in word]
 
 
-def _fp_payload(fp: FPGroup, manifest) -> dict:
+def _fp_payload(fp: FPGroup) -> dict:
     return {
-        "manifest": manifest,
         "generators": list(fp.generators),
         "relators": [_signed_indices(w) for w in fp.relators],
         "relator_sources": list(fp.provenance),
     }
 
 
-def _load_fp(path: str) -> FPGroup:
-    data = _read_json(path, "presentation")
+def _load_fp(args) -> FPGroup:
+    path = args.presentation
+    data = _read_json(args, "presentation")
     for key in ("generators", "relators"):
         if not isinstance(data, dict) or not isinstance(data.get(key), list):
             raise ValidationError(f"presentation {path} has no {key!r} list")
@@ -154,12 +150,9 @@ def _load_fp(path: str) -> FPGroup:
 
 
 def cmd_subdivide(args):
-    g = _load_graph(args.graph)
+    g = _load_graph(args)
     out = subdivide_for(g, args.particles)
-    manifest = _manifest("subdivide", {"graph": Path(args.graph)},
-                         {"particles": args.particles})
-    payload = {"manifest": manifest, "graph": out.to_json_dict(),
-               "changed": out is not g}
+    payload = {"graph": out.to_json_dict(), "changed": out is not g}
     text = json.dumps(out.to_json_dict(), sort_keys=True, indent=2)
     _emit(args, text, payload)
     return 0
@@ -178,17 +171,14 @@ def cmd_cells(args):
                 continue
             rows.append({"cell": str(cell), "dim": dim, "kind": cls.kind,
                          "partner": str(cls.partner) if cls.partner else None})
-    manifest = _manifest("cells", {"graph": Path(args.graph)},
-                         {"particles": args.particles, "dim": args.dim,
-                          "kind": args.kind})
     text = "\n".join(f"{r['cell']}  dim={r['dim']}  {r['kind']}" for r in rows)
-    _emit(args, text or "(no cells)", {"manifest": manifest, "cells": rows})
+    _emit(args, text or "(no cells)", {"cells": rows})
     return 0
 
 
 def cmd_present(args):
     cx, mp = _morse_for(args)
-    payload = _fp_payload(from_morse(mp), _graph_manifest(args, "present"))
+    payload = _fp_payload(from_morse(mp))
     payload["tree_conditions"] = check_tree_conditions(cx.og).as_dict()
     _emit(args, str(mp), payload)
     return 0
@@ -198,7 +188,7 @@ def cmd_minimal(args):
     cx, mp = _morse_for(args)
     result, h1 = minimize_morse(cx.og, mp)
     fp = result.group
-    payload = _fp_payload(fp, _graph_manifest(args, "minimal"))
+    payload = _fp_payload(fp)
     payload["h1"] = str(h1)
     payload["target_generators"] = result.target
     payload["target_reached"] = result.reached
@@ -219,8 +209,7 @@ def cmd_minimal(args):
 def cmd_h1(args):
     _, mp = _morse_for(args)
     h1 = homology_h1(from_morse(mp), warn_unexpected_torsion=True)
-    payload = {"manifest": _graph_manifest(args, "h1"), "free_rank": h1.free_rank,
-               "torsion": list(h1.torsion), "pretty": str(h1)}
+    payload = {"free_rank": h1.free_rank, "torsion": list(h1.torsion), "pretty": str(h1)}
     _emit(args, str(h1), payload)
     return 0
 
@@ -229,9 +218,7 @@ def cmd_oracle(args):
     cx = _complex_for(args)
     sp = skeleton_presentation(cx)
     h1 = homology_h1(sp.group)
-    manifest = _manifest("oracle", {"graph": Path(args.graph)},
-                         {"particles": args.particles})
-    payload = _fp_payload(sp.group, manifest)
+    payload = _fp_payload(sp.group)
     payload["h1"] = str(h1)
     text = (f"1-skeleton presentation: {len(sp.group.generators)} generators, "
             f"{len(sp.group.relators)} relators\nH1 = {h1}")
@@ -255,8 +242,9 @@ def _loop_ids(item: dict, index: int, key: str):
         + ("a list of vertex ids" if many else "a vertex id"))
 
 
-def _parse_loops_file(path: str):
-    data = _read_json(path, "loops")
+def _parse_loops_file(args):
+    path = args.loops
+    data = _read_json(args, "loops")
     loops = data.get("loops", []) if isinstance(data, dict) else None
     if not isinstance(loops, list):
         raise ValidationError(f"loops file {path} is not an object with a 'loops' list")
@@ -285,7 +273,6 @@ def _parse_loops_file(path: str):
 def cmd_physical(args):
     pp, h1 = _physical_for(args)
     payload = {
-        "manifest": _graph_manifest(args, "physical", ("graph", "loops")),
         "loops": [{"name": lg.name, "kind": lg.kind,
                    "image": [[nm, s] for nm, s in lg.image]}
                   for lg in pp.loops],
@@ -307,11 +294,8 @@ def cmd_physical(args):
 
 
 def cmd_stabilize(args):
-    report = stability_report(ordered(_load_graph(args.graph)), args.n_from, args.n_to)
-    manifest = _manifest("stabilize", {"graph": Path(args.graph)},
-                         {"from": args.n_from, "to": args.n_to})
+    report = stability_report(ordered(_load_graph(args)), getattr(args, "from"), args.to)
     payload = {
-        "manifest": manifest,
         "rows": [{"n": r.n, "generators": r.generators, "relators": r.relators,
                   "new_relators": r.new_relators, "lifting_ok": r.lifting_ok,
                   "minimized_generators": r.minimized_generators, "h1": r.h1}
@@ -333,16 +317,10 @@ def cmd_stabilize(args):
 
 
 def cmd_rep_verify(args):
-    fp = _load_fp(args.presentation)
-    assignment = UnitaryAssignment.from_json_dict(
-        _read_json(args.assignment, "assignment"))
+    fp = _load_fp(args)
+    assignment = UnitaryAssignment.from_json_dict(_read_json(args, "assignment"))
     report = verify_representation(fp, assignment, tol=args.tol)
-    manifest = _manifest("rep-verify",
-                         {"presentation": Path(args.presentation),
-                          "assignment": Path(args.assignment)},
-                         {"tol": args.tol})
-    payload = {"manifest": manifest, "deviations": report.deviations,
-               "max_deviation": report.max_deviation, "passed": report.passed}
+    payload = {"deviations": report.deviations, "max_deviation": report.max_deviation, "passed": report.passed}
     text = (f"max deviation {report.max_deviation:.3e} "
             f"({'PASS' if report.passed else 'FAIL'} at tol {args.tol:g})")
     _emit(args, text, payload)
@@ -350,18 +328,14 @@ def cmd_rep_verify(args):
 
 
 def cmd_rep_solve(args):
-    fp = _load_fp(args.presentation)
+    fp = _load_fp(args)
     opts = SolveOptions(tol=args.tol, restarts=args.restarts)
-    outcome = solve_representation(fp, args.dimension, seed=args.seed, opts=opts)
-    manifest = _manifest("rep-solve", {"presentation": Path(args.presentation)},
-                         {"k": args.dimension, "seed": args.seed,
-                          "tol": args.tol, "restarts": args.restarts})
-    payload = {"manifest": manifest,
-               "assignment": outcome.assignment.to_json_dict(),
+    outcome = solve_representation(fp, args.k, seed=args.seed, opts=opts)
+    payload = {"assignment": outcome.assignment.to_json_dict(),
                "max_deviation": outcome.report.max_deviation,
                "restart": outcome.restart,
                "restart_seeds": outcome.restart_seeds}
-    text = (f"found representation at k={args.dimension}, max deviation "
+    text = (f"found representation at k={args.k}, max deviation "
             f"{outcome.report.max_deviation:.3e} (restart {outcome.restart})")
     _emit(args, text, payload)
     return 0
@@ -371,7 +345,6 @@ def cmd_locally_abelian(args):
     pp, _ = _physical_for(args)
     ansatz = locally_abelian_solve(pp)
     payload = {
-        "manifest": _graph_manifest(args, "locally-abelian", ("graph", "loops")),
         "phase_generators": ansatz.phase_generators,
         "free_unitaries": ansatz.free_unitaries,
         "constraints": [list(c.coefficients) for c in ansatz.constraints],
@@ -447,8 +420,8 @@ def build_parser() -> _Parser:
 
     p = add("stabilize", cmd_stabilize, help="particle-number stabilization report")
     p.add_argument("graph")
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
+    p.add_argument("--from", type=int, required=True)
+    p.add_argument("--to", type=int, required=True)
 
     p = add("rep-verify", cmd_rep_verify, help="check a unitary assignment")
     p.add_argument("presentation")
@@ -457,7 +430,7 @@ def build_parser() -> _Parser:
 
     p = add("rep-solve", cmd_rep_solve, help="solve for a unitary representation")
     p.add_argument("presentation")
-    p.add_argument("-k", "--dimension", type=int, required=True)
+    p.add_argument("-k", "--dimension", dest="k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--restarts", type=int, default=20)
@@ -473,6 +446,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.inputs = {}
     try:
         if getattr(args, "particles", 1) < 1:
             raise ValidationError(f"-n/--particles must be at least 1, got {args.particles}")
@@ -482,6 +456,9 @@ def main(argv=None) -> int:
             raise ValidationError(f"--seed must be at least 0, got {args.seed}")
         if getattr(args, "restarts", 1) < 1:
             raise ValidationError(f"--restarts must be at least 1, got {args.restarts}")
+        n_from, n_to = getattr(args, "from", 1), getattr(args, "to", 1)
+        if not 1 <= n_from <= n_to:
+            raise ValidationError(f"need 1 <= --from <= --to, got --from {n_from} --to {n_to}")
         tol = getattr(args, "tol", 1.0)
         if not (math.isfinite(tol) and tol > 0):
             raise ValidationError(f"--tol must be a finite positive number, got {tol}")
@@ -494,7 +471,7 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         size = "".join(f" {flag} {getattr(args, dest)}" for flag, dest in
-                       (("-k", "dimension"), ("-n", "particles")) if hasattr(args, dest))
+                       (("-k", "k"), ("-n", "particles")) if hasattr(args, dest))
         print(f"braidforge: computation failed: out of memory in {args.command}{size}",
               file=sys.stderr)
         return 3

@@ -61,9 +61,6 @@ class Graph:
                 out.append(a)
         return sorted(out)
 
-    def tree_degree(self, v: int) -> int:
-        return sum(1 for e in self.tree_edges if v in e)
-
     def essential_vertices(self) -> list[int]:
         return [v for v in self.vertices if self.degree(v) != 2]
 

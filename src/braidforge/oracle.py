@@ -22,17 +22,6 @@ class SkeletonPresentation:
     generator_cells: list[Cell]
     tree_cells: set[Cell]
 
-    def project(self, word) -> tuple[int, ...]:
-        """Map a word of 1-cell letters to the presentation by dropping
-        spanning-tree letters."""
-        index = {c: i + 1 for i, c in enumerate(self.generator_cells)}
-        out = []
-        for cell, sign in word:
-            if cell in self.tree_cells:
-                continue
-            out.append(sign * index[cell])
-        return tuple(out)
-
 
 def skeleton_presentation(cx: CubeComplex) -> SkeletonPresentation:
     zero = cx.cells(0)

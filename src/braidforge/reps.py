@@ -331,19 +331,6 @@ def locally_abelian_solve(pp) -> LocallyAbelianAnsatz:
         residual_relators=residual)
 
 
-def locally_abelian_assignment(pp, phases, unitaries, k: int) -> UnitaryAssignment:
-    """Build the full assignment from Y-loop phases and O-loop unitaries."""
-    mats: dict[str, np.ndarray] = {}
-    pi = 0
-    for lg in pp.loops:
-        if lg.kind == "Y":
-            mats[lg.name] = np.exp(1j * phases[pi]) * np.eye(k)
-            pi += 1
-        else:
-            mats[lg.name] = np.asarray(unitaries[lg.name], dtype=complex)
-    return UnitaryAssignment(k, mats)
-
-
 # ---------------------------------------------------------------------------
 # component classification for single-commutator presentations
 

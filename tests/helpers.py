@@ -78,8 +78,8 @@ def inject_flow_cycle(monkeypatch, cx) -> tuple[Cell, Cell]:
     a square as four letter codes, so the codes are patched.  Returns a, b."""
     redundant = lambda word: [c for c, _ in word if cx.classify(c).kind == "redundant"]
     a = redundant(cx.boundary_word(cx.critical_cells(2)[0]))[0]
-    b = next(c for c in redundant(cx.boundary_word(cx.matching_image(a))) if c != a)
-    square_b = cx.matching_image(b)
+    b = next(c for c in redundant(cx.boundary_word(cx.classify(a).partner)) if c != a)
+    square_b = cx.classify(b).partner
     real, code_a, code_b = bf.CubeComplex.square, cx.encode(a), cx.encode(b)
     monkeypatch.setattr(bf.CubeComplex, "square", lambda self, tau:
                         (code_b, code_a) if self.cell_of(tau) == square_b

@@ -9,8 +9,8 @@ from itertools import combinations
 import pytest
 
 import braidforge as bf
-from braidforge.cells import (COLLAPSIBLE, CRITICAL, REDUNDANT, Cell, _cell,
-                              letter_endpoints)
+from braidforge.cells import (COLLAPSIBLE, CRITICAL, REDUNDANT, Cell, MorseClass,
+                              _cell, letter_endpoints)
 from braidforge.errors import MatchingError, SubdivisionError, ValidationError
 from braidforge.morse import rewrite_word
 
@@ -186,11 +186,9 @@ def test_classify_collapsible_example():
 
 def test_matching_image_examples():
     cx = complex_for("theta", 2)
-    assert cx.classify(Cell((), (2, 3))).kind == REDUNDANT
-    assert cx.matching_image(Cell((), (2, 3))) == cell([(1, 2)], [3])
-    assert cx.matching_image(cell([E59], [4])) == cell([E59, (3, 4)], [])
-    with pytest.raises(MatchingError):
-        cx.matching_image(Cell((), (1, 2)))    # critical
+    assert cx.classify(Cell((), (2, 3))) == MorseClass(REDUNDANT, cell([(1, 2)], [3]))
+    assert cx.classify(cell([E59], [4])) == MorseClass(REDUNDANT, cell([E59, (3, 4)], []))
+    assert cx.classify(Cell((), (1, 2))) == MorseClass(CRITICAL, None)
 
 
 def test_reversed_edge_is_not_a_cell():

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import json
@@ -244,9 +245,11 @@ def test_negative_max_steps_exit_2(tmp_path, capsys, argv):
     (["rep-solve", "PRES", "-k", "2", "--tol", "nan"], "--tol"),
     (["rep-solve", "PRES", "-k", "2", "--tol", "inf"], "--tol"),
     (["rep-verify", "PRES", "PRES", "--tol", "0"], "--tol"),
+    (["stabilize", THETA, "--from", "3", "--to", "2"], "--from 3 --to 2"),
+    (["stabilize", THETA, "--from", "0", "--to", "2"], "--from 0 --to 2"),
 ])
 def test_solver_options_exit_2(tmp_path, capsys, argv, culprit):
-    # rejected before any restart is drawn, so no solve runs
+    # rejected before any restart is drawn or any graph is read
     pres = tmp_path / "pres.json"
     pres.write_text(json.dumps({"generators": ["a"], "relators": [[[0, 1], [0, 1]]]}))
     assert main([str(pres) if a == "PRES" else a for a in argv]) == 2
@@ -433,7 +436,8 @@ def test_float_letters_read_as_integers(tmp_path):
     exact.write_text(json.dumps({"generators": ["a", "b"], "relators": [[[1, 1], [1, 1]]]}))
     floats.write_text(json.dumps({"generators": ["a", "b"],
                                   "relators": [[[1.0, 1], [1, 1.0]]]}))
-    assert _load_fp(str(floats)) == _load_fp(str(exact))
+    assert (_load_fp(argparse.Namespace(presentation=str(floats), inputs={}))
+            == _load_fp(argparse.Namespace(presentation=str(exact), inputs={})))
     assert main(["rep-solve", str(floats), "-k", "1", "--restarts", "1"]) == 0
 
 
@@ -601,6 +605,22 @@ def test_json_artifact_digests(tmp_path, argv, digest):
                        capture_output=True)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+def test_piped_input_is_hashed_as_read():
+    # /dev/stdin can be read only once, so the manifest must hash the bytes
+    # that were parsed, not a second read
+    hashes = []
+    for name, pretty in (("theta", "Z^3"), ("y", "Z")):
+        data = fixture_path(name).read_bytes()
+        r = subprocess.run([sys.executable, "-m", "braidforge.cli", "h1", "/dev/stdin",
+                            "-n", "2", "--json"], input=data, capture_output=True)
+        assert r.returncode == 0
+        artifact = json.loads(r.stdout)
+        assert artifact["pretty"] == pretty
+        hashes.append(artifact["manifest"]["inputs"]["graph"])
+        assert hashes[-1] == hashlib.sha256(data).hexdigest()
+    assert hashes[0] != hashes[1]
 
 
 PRES2_SHA = "4eb193c749cdc0804a2340382b084878767d3f5fc9bca13c9d04099a75a375d4"

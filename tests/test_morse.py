@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidforge as bf
-from braidforge.cells import Cell, inverse_word
+from braidforge.cells import REDUNDANT, Cell, MorseClass, inverse_word
 from braidforge.errors import MatchingError, RewriteLimitError, ValidationError
 from braidforge.morse import rewrite_word
 from braidforge.presentation import (HomologyClass, abelianization_matrix,
@@ -362,4 +362,4 @@ def test_rewrite_trace_records_moves():
     for step in trace.steps:
         if step.move == "simple_homotopy":
             sigma, tau2 = step.cells
-            assert cx.matching_image(sigma) == tau2
+            assert cx.classify(sigma) == MorseClass(REDUNDANT, tau2)

@@ -9,9 +9,8 @@ import braidforge as bf
 from braidforge.errors import NoRepresentationFound, ValidationError
 from braidforge.presentation import FPGroup
 from braidforge.reps import (STEP_DECAY, ComponentLabel, SolveOptions,
-                             _loss_and_grads, haar_unitary,
-                             locally_abelian_assignment, polar_retract,
-                             unitarity_defect)
+                             UnitaryAssignment, _loss_and_grads, haar_unitary,
+                             polar_retract, unitarity_defect)
 
 from helpers import complex_for, minimized, morse, theta_loop_specs
 
@@ -381,6 +380,19 @@ def test_locally_abelian_theta_constraints():
     assert ansatz.residual_relators == []
     assert len(ansatz.trivial_relators) == 1
     assert ansatz.trivial_relators[0].startswith("minimal:")
+
+
+def locally_abelian_assignment(pp, phases, unitaries, k: int) -> UnitaryAssignment:
+    """The full assignment from Y-loop phases and O-loop unitaries."""
+    mats = {}
+    pi = 0
+    for lg in pp.loops:
+        if lg.kind == "Y":
+            mats[lg.name] = np.exp(1j * phases[pi]) * np.eye(k)
+            pi += 1
+        else:
+            mats[lg.name] = np.asarray(unitaries[lg.name], dtype=complex)
+    return UnitaryAssignment(k, mats)
 
 
 def test_locally_abelian_assignment_verifies():
