@@ -4,6 +4,8 @@ import math
 import random
 from functools import lru_cache
 
+import numpy as np
+
 import braidforge as bf
 from braidforge.cells import Cell
 from braidforge.fixtures import load_fixture
@@ -225,3 +227,33 @@ def reference_snf_diagonal(matrix) -> tuple[int, ...]:
         pivots.append(abs(p))
         del rows[r], cols[c]
     return tuple(pivots)
+
+
+def reference_loss_and_grads(relators, mats, k):
+    """The solver's losses and gradients by the earlier per-letter form: one
+    stacked product per letter for each of the prefix and suffix chains and
+    two per gradient term, with a conjugate copy for each inverse letter.
+    Takes generator matrices stacked as (generators, restarts, k, k)."""
+    def dagger(mat):
+        return mat.conj().swapaxes(-1, -2)
+
+    losses = [0.0] * mats.shape[1]
+    grads = np.zeros_like(mats)
+    eye = np.eye(k)
+    for rel in filter(None, relators):
+        letters = [(abs(x) - 1, x > 0) for x in rel]
+        factors = [mats[g] if pos else dagger(mats[g]) for g, pos in letters]
+        prefix = [eye]
+        for f in factors:
+            prefix.append(prefix[-1] @ f)
+        suffix = [eye]
+        for f in reversed(factors):
+            suffix.append(f @ suffix[-1])
+        suffix.reverse()
+        m = prefix[-1] - eye
+        for r in range(len(losses)):
+            losses[r] += float(np.linalg.norm(m[r]) ** 2)
+        for j, (g, pos) in enumerate(letters):
+            y = dagger(prefix[j]) @ m @ dagger(suffix[j + 1])
+            grads[g] += y if pos else dagger(y)
+    return losses, grads

@@ -4,6 +4,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidforge as bf
 from braidforge.errors import NoRepresentationFound, ValidationError
@@ -12,7 +14,8 @@ from braidforge.reps import (STEP_DECAY, ComponentLabel, SolveOptions,
                              UnitaryAssignment, _loss_and_grads, haar_unitary,
                              polar_retract, unitarity_defect)
 
-from helpers import complex_for, minimized, morse, theta_loop_specs
+from helpers import (complex_for, minimized, morse, reference_loss_and_grads,
+                     theta_loop_specs)
 
 GAMMA = "{e(5,9),1,2,6}"
 A1 = "{e(1,8),2,3,4}"
@@ -184,6 +187,38 @@ def test_gradient_matches_finite_differences():
                         assert all(abs(x) < 1e-5 for s, x in enumerate(numeric)
                                    if s != r)
 
+
+
+@st.composite
+def _solver_inputs(draw):
+    """Relator lists over 1-3 generators (repeated generators, inverse
+    letters, empty relators, several relators), k in {1, 2, 3}, 1-4
+    restarts, and matrices that are unitary or not."""
+    gens = draw(st.integers(1, 3))
+    letter = st.integers(1, gens).flatmap(lambda g: st.sampled_from((g, -g)))
+    relators = draw(st.lists(st.lists(letter, max_size=9).map(tuple),
+                             min_size=1, max_size=4))
+    k = draw(st.integers(1, 3))
+    restarts = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mats = np.array([[haar_unitary(k, rng) for _ in range(restarts)]
+                         for _ in range(gens)])
+    else:
+        mats = (rng.standard_normal((gens, restarts, k, k))
+                + 1j * rng.standard_normal((gens, restarts, k, k)))
+    return relators, mats, k
+
+
+@given(_solver_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_loss_and_grads_match_per_letter_reference(inputs):
+    # the same products in the same association order, so the same bits
+    relators, mats, k = inputs
+    losses, grads = _loss_and_grads(relators, mats, k)
+    ref_losses, ref_grads = reference_loss_and_grads(relators, mats, k)
+    assert losses == ref_losses
+    assert grads.tobytes() == ref_grads.tobytes()
 
 def test_polar_retract_projects_to_unitary():
     rng = np.random.default_rng(2)
