@@ -145,26 +145,36 @@ def _loss_and_grads(relators, mats: np.ndarray, k: int):
     the gradient contribution at letter j is P^dag M S^dag with P, S the
     products before and after the letter (transposed into the variable when
     the letter is an inverse).  Each restart's loss is summed from the 2-D
-    norm of its own residual, so it does not depend on the other restarts."""
+    norm of its own residual, so it does not depend on the other restarts.
+
+    Per relator of L letters this makes L stacked products, one per step
+    that advances the prefix and the suffix chain together, two for all L
+    gradient terms and one `np.add.at` that adds them in word order.  Every
+    2-D product is the one the per-letter form computes, in the same
+    association order, so the answer is the same bit for bit."""
     losses = [0.0] * mats.shape[1]
     grads = np.zeros_like(mats)
     eye = np.eye(k)
+    ngens = mats.shape[0]
+    stacked = np.concatenate([mats, _dagger(mats)])    # inverse of g at ngens + g
     for rel in filter(None, relators):      # an empty relator always holds
-        letters = [(abs(x) - 1, x > 0) for x in rel]
-        factors = [mats[g] if pos else _dagger(mats[g]) for g, pos in letters]
-        prefix = [eye]
-        for f in factors:
-            prefix.append(prefix[-1] @ f)
-        suffix = [eye]
-        for f in reversed(factors):
-            suffix.append(f @ suffix[-1])
-        suffix.reverse()
-        m = prefix[-1] - eye
+        n = len(rel)
+        letters = np.array(rel)
+        gens, inverse = np.abs(letters) - 1, letters < 0
+        factors = stacked[gens + ngens * inverse]
+        # row j: prefix_j, factor_{n-1-j}, factor_j, suffix_{n-j}
+        chain = np.empty((n + 1, 4) + mats.shape[1:], dtype=mats.dtype)
+        chain[0, 0] = chain[0, 3] = eye
+        chain[:n, 1] = factors[::-1]
+        chain[:n, 2] = factors
+        for j in range(n):
+            np.matmul(chain[j, :2], chain[j, 2:], out=chain[j + 1, ::3])
+        m = chain[n, 0] - eye
         for r in range(len(losses)):
             losses[r] += float(np.linalg.norm(m[r]) ** 2)
-        for j, (g, pos) in enumerate(letters):
-            y = _dagger(prefix[j]) @ m @ _dagger(suffix[j + 1])
-            grads[g] += y if pos else _dagger(y)
+        y = _dagger(chain[:n, 0]) @ m @ _dagger(chain[n - 1::-1, 3])
+        y[inverse] = _dagger(y[inverse])
+        np.add.at(grads, gens, y)
     return losses, grads
 
 
@@ -237,9 +247,11 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
                 stay.append(j)
         if not stay:
             break
-        live = [live[j] for j in stay]
+        if len(stay) < len(live):
+            live = [live[j] for j in stay]
+            mats, grads = mats[:, stay], grads[:, stay]
         eta = opts.step / (1.0 + STEP_DECAY * it)
-        mats = polar_retract(mats[:, stay] - eta * grads[:, stay])
+        mats = polar_retract(mats - eta * grads)
     best = min(range(opts.restarts), key=lambda r: (residuals[r], r))
 
     assignment = UnitaryAssignment(
