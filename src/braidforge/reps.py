@@ -222,6 +222,8 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
         raise ValidationError(f"iterations must be at least 0, got {opts.iterations}")
     if not (math.isfinite(opts.tol) and opts.tol > 0):
         raise ValidationError(f"tol must be a finite positive number, got {opts.tol}")
+    if not (math.isfinite(opts.step) and opts.step > 0):
+        raise ValidationError(f"step must be a finite positive number, got {opts.step}")
     restart_seeds = [seed + i for i in range(opts.restarts)]
     rngs = [np.random.default_rng(s) for s in restart_seeds]
     mats = np.array([[haar_unitary(k, rng) for rng in rngs] for _ in p.generators],

@@ -368,6 +368,10 @@ def test_solver_huge_tolerance_accepts_the_start():
     (0, SolveOptions(tol=0.0), "tol"),
     (0, SolveOptions(tol=float("nan")), "tol"),
     (0, SolveOptions(tol=float("inf")), "tol"),
+    (0, SolveOptions(step=0.0), "step"),
+    (0, SolveOptions(step=-0.2), "step"),
+    (0, SolveOptions(step=float("nan")), "step"),
+    (0, SolveOptions(step=float("inf")), "step"),
 ])
 def test_solver_rejects_bad_options(seed, opts, culprit):
     with pytest.raises(ValidationError, match=culprit):
