@@ -456,6 +456,8 @@ def main(argv=None) -> int:
             raise ValidationError(f"--seed must be at least 0, got {args.seed}")
         if getattr(args, "restarts", 1) < 1:
             raise ValidationError(f"--restarts must be at least 1, got {args.restarts}")
+        if getattr(args, "k", 1) < 1:
+            raise ValidationError(f"-k/--dimension must be at least 1, got {args.k}")
         n_from, n_to = getattr(args, "from", 1), getattr(args, "to", 1)
         if not 1 <= n_from <= n_to:
             raise ValidationError(f"need 1 <= --from <= --to, got --from {n_from} --to {n_to}")
