@@ -241,14 +241,14 @@ def test_negative_max_steps_exit_2(tmp_path, capsys, argv):
     (["rep-solve", "PRES", "-k", "2", "--seed", "-1"], "--seed"),
     (["rep-solve", "PRES", "-k", "2", "--restarts", "0"], "--restarts"),
     (["rep-solve", "PRES", "-k", "2", "--restarts", "-3"], "--restarts"),
-    (["rep-solve", "PRES", "-k", "0"], "-k/--dimension must be at least 1, got 0"),
-    (["rep-solve", "PRES", "-k", "-2"], "-k/--dimension must be at least 1, got -2"),
     (["rep-solve", "PRES", "-k", "2", "--tol", "-1"], "--tol"),
     (["rep-solve", "PRES", "-k", "2", "--tol", "nan"], "--tol"),
     (["rep-solve", "PRES", "-k", "2", "--tol", "inf"], "--tol"),
     (["rep-verify", "PRES", "PRES", "--tol", "0"], "--tol"),
     (["stabilize", THETA, "--from", "3", "--to", "2"], "--from 3 --to 2"),
     (["stabilize", THETA, "--from", "0", "--to", "2"], "--from 0 --to 2"),
+    (["rep-solve", "PRES", "-k", "0"], "-k/--dimension must be at least 1, got 0"),
+    (["rep-solve", "PRES", "-k", "-2"], "-k/--dimension must be at least 1, got -2"),
 ])
 def test_solver_options_exit_2(tmp_path, capsys, argv, culprit):
     # rejected before any restart is drawn or any graph is read
