@@ -299,6 +299,22 @@ def test_subdivide_and_order_random_multigraphs_digest():
         "608c8117a6afca0ac137d7252936f64398091649cd8dd5fe1cb8eb04e890f023"
 
 
+def test_check_subdivision_reports_digest():
+    # pins every violation of every kind, in report order, on 1,500 random
+    # multigraphs at n = 1..6 and on the fixtures at n = 1..12
+    cases = [(bf.parse_graph(random_multigraph(random.Random(seed))), range(1, 7))
+             for seed in range(1500)]
+    cases += [(graph(name), range(1, 13)) for name in ("theta", "y", "path", "lasso")]
+    out = []
+    for g, ns in cases:
+        for n in ns:
+            rep = bf.check_subdivision(g, n)
+            out.append([rep.path_violations, rep.cycle_violations, rep.short_root_arc])
+    blob = json.dumps(out, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "bfdfa50e5c2cd8f364857adfda47d2c423bd7cf292bb86c980a7e0cd3e79793a"
+
+
 # -- tree conditions -----------------------------------------------------------
 
 
@@ -344,3 +360,22 @@ def test_t2_violation_witness():
 def test_lasso_fixture_satisfies_tree_conditions():
     rep = check_tree_conditions(og("lasso"))
     assert rep.t1 and rep.t2
+
+
+def test_tree_conditions_and_two_connectivity_digest():
+    # pins T1/T2 witnesses and 2-connectivity of the ordered subdivisions of
+    # the 1,500 random multigraphs of the digest above
+    out = []
+    for seed in range(1500):
+        rng = random.Random(seed)
+        data, n = random_multigraph(rng), rng.randint(1, 4)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                o = bf.ordered(bf.subdivide_for(bf.parse_graph(data), n))
+        except ValidationError:
+            continue
+        out.append([check_tree_conditions(o).as_dict(), o.is_two_connected()])
+    blob = json.dumps(out, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "a6d736d02bae96aa9e3c58beec3fc9cfd34aebe58841263ac6ca9c62cddc8117"
