@@ -14,7 +14,9 @@ for simple graphs.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GraphFormatError, SubdivisionError, json_int
 
@@ -40,26 +42,19 @@ class Graph:
     root: int
     rotation: dict[int, tuple[int, ...]] | None = None
 
+    @cached_property
+    def adjacency(self) -> dict[int, list[tuple[int, int]]]:
+        return _adjacency(self.vertices, self.edges)
+
     def degree(self, v: int) -> int:
-        d = 0
-        for a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+        return len(self.adjacency[v])
 
     def is_simple(self) -> bool:
         return len(set(self.edges)) == len(self.edges) and all(a != b for a, b in self.edges)
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+        # a loop's two entries share their edge index and count once
+        return sorted(w for w, _ in dict.fromkeys(self.adjacency[v]))
 
     def essential_vertices(self) -> list[int]:
         return [v for v in self.vertices if self.degree(v) != 2]
@@ -76,16 +71,21 @@ class Graph:
         return d
 
 
-def _reachable(start: int, edges, avoid: int | None = None) -> set[int]:
-    """Vertices reached from `start` along `edges` without entering `avoid`."""
-    adj: dict[int, set[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen = {start}
-    stack = [start]
+def _adjacency(vertices, edges) -> dict[int, list[tuple[int, int]]]:
+    """Each vertex's (neighbour, edge index) pairs in edge order; a loop
+    appears twice."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+    for i, (a, b) in enumerate(edges):
+        adj[a].append((b, i))
+        adj[b].append((a, i))
+    return adj
+
+
+def _reachable(adj, start: int, avoid: int | None = None) -> set[int]:
+    """Vertices reached from `start` in `adj` without entering `avoid`."""
+    seen, stack = {start}, [start]
     while stack:
-        for w in adj.get(stack.pop(), ()):
+        for w, _ in adj[stack.pop()]:
             if w != avoid and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -113,27 +113,29 @@ def parse_graph(data: dict) -> Graph:
     tree = frozenset(read("tree_edges", _json_edge))
     if len(set(vertices)) != len(vertices):
         raise GraphFormatError("duplicate vertex ids")
-    vset = set(vertices)
+    vset, edge_set = set(vertices), set(edges)
     for e in edges:
         if e[0] not in vset or e[1] not in vset:
             raise GraphFormatError(f"edge {e} has unknown endpoints")
     for e in tree:
-        if e not in edges:
+        if e not in edge_set:
             raise GraphFormatError(f"tree edge {e} is not a graph edge")
         if e[0] == e[1]:
             raise GraphFormatError(f"loop {e} cannot be a tree edge")
 
-    if vertices and _reachable(vertices[0], edges) != vset:
+    g = Graph(vertices, edges, tree, root=None)     # the root is set below
+    if vertices and _reachable(g.adjacency, vertices[0]) != vset:
         raise GraphFormatError("multiple components")
     # tree must span and be acyclic
     if len(tree) != len(vertices) - 1:
         raise GraphFormatError("non-spanning tree set (wrong edge count)")
-    if _reachable(vertices[0], tree) != vset:
+    tree_adj = _adjacency(vertices, tree)
+    if _reachable(tree_adj, vertices[0]) != vset:
         raise GraphFormatError("non-spanning tree set")
 
     root = data.get("root")
     if root is None:
-        leaves = [v for v in vertices if sum(1 for e in tree if v in e) == 1]
+        leaves = [v for v in vertices if len(tree_adj[v]) == 1]
         if not leaves:
             raise GraphFormatError("no tree vertex of degree 1 to use as root")
         root = leaves[0]
@@ -144,13 +146,12 @@ def parse_graph(data: dict) -> Graph:
             raise GraphFormatError(f"root {root!r} is not a vertex id") from None
         if root not in vset:
             raise GraphFormatError(f"root {root} is not a vertex")
-        if sum(1 for e in tree if root in e) != 1:
+        if len(tree_adj[root]) != 1:
             raise GraphFormatError(f"root {root} does not have degree 1 in the tree")
+    g.root = root
 
-    rotation = None
     if "rotation" in data and data["rotation"] is not None:
-        g_tmp = Graph(vertices, edges, tree, root, None)
-        if not g_tmp.is_simple():
+        if not g.is_simple():
             raise GraphFormatError("rotation given for a multigraph; omit it and subdivide first")
         if not isinstance(data["rotation"], dict):
             raise GraphFormatError("rotation is not an object of neighbor lists")
@@ -169,13 +170,14 @@ def parse_graph(data: dict) -> Graph:
             if v not in vset:
                 raise GraphFormatError(f"rotation for unknown vertex {v}")
         for v in vertices:
-            expected = sorted(g_tmp.neighbors(v))
+            expected = g.neighbors(v)
             got = sorted(rotation.get(v, ()))
             if got != expected:
                 raise GraphFormatError(
                     f"rotation inconsistent with incidence at vertex {v}: "
                     f"expected neighbors {expected}, got {got}")
-    return Graph(vertices, edges, tree, root, rotation)
+        g.rotation = rotation
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +223,7 @@ def _segments(g: Graph):
     with u, v essential and distinct; edge ids index g.edges.  Cycles made
     of degree-2 vertices fall under the cycle condition instead."""
     essential = set(g.essential_vertices())
-    used = set()
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    for i, (a, b) in enumerate(g.edges):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-
+    adj, used = g.adjacency, set()
     for start in sorted(essential):
         for (nxt, eid) in sorted(adj[start]):
             if eid in used:
@@ -234,51 +231,48 @@ def _segments(g: Graph):
             chain = [eid]
             used.add(eid)
             cur = nxt
-            while cur not in essential and cur != start:
-                outs = [(w, j) for (w, j) in adj[cur] if j not in used]
-                if not outs:
-                    break
-                w, j = outs[0]
+            # a degree-2 vertex entered by one edge leaves by its other edge,
+            # which no chain has used: a chain through it would have used both
+            while cur not in essential:
+                cur, j = next((w, j) for w, j in adj[cur] if j not in used)
                 chain.append(j)
                 used.add(j)
-                cur = w
-            if cur in essential and cur != start:
+            if cur != start:
                 yield (start, cur, chain)
 
 
 def _short_cycles(g: Graph, max_len: int):
-    """All simple cycles of length <= max_len, as canonical vertex tuples.
-    Loops and parallel pairs are included.  Deduplicated by edge set."""
-    indexed = list(enumerate(g.edges))
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    for i, (a, b) in indexed:
-        adj[a].append((b, i))
-        adj[b].append((a, i))
+    """All simple cycles of length <= max_len, as canonical vertex tuples;
+    loops and parallel pairs are included.  Canonical form, which the
+    subdivision report and the shortest-first padding rely on: a loop is
+    (v,); any other cycle starts at its lowest vertex and heads for the
+    neighbour that the adjacency lists first.  Cycles are deduplicated by
+    edge set, keeping the first found, and sorted by (length, tuple), ties
+    in discovery order.  The depth-first search walks an explicit stack of
+    adjacency iterators, so no cycle length reaches the recursion limit."""
+    adj = g.adjacency
     found: dict[frozenset[int], tuple[int, ...]] = {}
-
-    if max_len >= 1:
-        for i, (a, b) in indexed:
-            if a == b:
-                found[frozenset([i])] = (a,)
-
-    def dfs(path, path_edges, start):
-        v = path[-1]
-        if len(path_edges) >= max_len:
-            return
-        for (w, eid) in adj[v]:
-            if eid in path_edges:
-                continue
-            if w == start and len(path_edges) >= 1:
-                key = frozenset(path_edges | {eid})
-                if key not in found:
-                    found[key] = tuple(path)
-                continue
-            if w in path or w < start:
-                continue
-            dfs(path + [w], path_edges | {eid}, start)
-
     for start in sorted(g.vertices):
-        dfs([start], set(), start)
+        # the path from start, its vertices, and its edge ids in path order
+        path, on_path, path_edges = [start], {start}, {}
+        stack = [iter(adj[start])] if max_len >= 1 else []
+        while stack:
+            for w, eid in stack[-1]:
+                if eid in path_edges:
+                    continue
+                if w == start:          # a loop at start, or a closing edge
+                    found.setdefault(frozenset([*path_edges, eid]), tuple(path))
+                elif w > start and w not in on_path and len(path) < max_len:
+                    path.append(w)
+                    on_path.add(w)
+                    path_edges[eid] = None
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                if path_edges:
+                    on_path.remove(path.pop())
+                    path_edges.popitem()
     return [verts for _, verts in sorted(found.items(),
                                          key=lambda kv: (len(kv[0]), kv[1]))]
 
@@ -286,15 +280,12 @@ def _short_cycles(g: Graph, max_len: int):
 def _root_arc(g: Graph) -> tuple[int, ...]:
     """The tree path from the root through vertices of tree degree 2, up to
     the first tree junction or leaf.  The ordering numbers it 1, 2, ..."""
-    tadj: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for a, b in g.tree_edges:
-        tadj[a].append(b)
-        tadj[b].append(a)
+    tadj = _adjacency(g.vertices, g.tree_edges)
     arc = [g.root]
-    step = tadj[g.root]
+    step = [w for w, _ in tadj[g.root]]
     while len(step) == 1:
         arc.append(step[0])
-        step = [w for w in tadj[step[0]] if w != arc[-2]]
+        step = [w for w, _ in tadj[step[0]] if w != arc[-2]]
     return tuple(arc)
 
 
@@ -438,9 +429,6 @@ class OrderedGraph:
     def root(self) -> int:
         return 1
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def parent_edge(self, v: int) -> Edge:
         return (self.parent[v], v)
 
@@ -453,8 +441,9 @@ class OrderedGraph:
         return kids.index(child) + 1
 
     def is_two_connected(self) -> bool:
+        adj = _adjacency(range(1, self.n + 1), self.edges)
         return self.n >= 3 and all(
-            len(_reachable(2 if cut == 1 else 1, self.edges, avoid=cut)) == self.n - 1
+            len(_reachable(adj, 2 if cut == 1 else 1, avoid=cut)) == self.n - 1
             for cut in range(1, self.n + 1))
 
 
@@ -534,27 +523,24 @@ class TreeConditionReport:
 def check_tree_conditions(og: OrderedGraph) -> TreeConditionReport:
     """T1: every deleted edge ends (iota) at a degree-2 vertex.  T2: no
     deleted edge is separated in the tree by a vertex below its tau."""
-    t1_wit = [e for e in og.deleted if og.degree(e[1]) != 2]
+    degree = Counter(v for e in og.edges for v in e)
+    t1_wit = [e for e in og.deleted if degree[e[1]] != 2]
+
+    def ancestors(v: int) -> set[int]:
+        out = {v}
+        while v != 1:
+            v = og.parent[v]
+            out.add(v)
+        return out
+
     t2_wit = []
     for e in og.deleted:
         tau, iota = e
-        # interior vertices of the tree path tau..iota separate the edge
-        path_up = []
-        v = iota
-        while v != 1:
-            path_up.append(v)
-            v = og.parent[v]
-        path_up.append(1)
-        anc = set(path_up)
-        v = tau
-        tau_path = []
-        while v not in anc:
-            tau_path.append(v)
-            v = og.parent[v]
-        meet = v
-        interior = set(tau_path) | set(path_up[:path_up.index(meet)]) | {meet}
-        interior -= {tau, iota}
-        for v in sorted(interior):
+        # interior vertices of the tree path tau..iota separate the edge; it
+        # turns at the deepest common ancestor, whose label is the largest
+        up_tau, up_iota = ancestors(tau), ancestors(iota)
+        interior = (up_tau ^ up_iota) | {max(up_tau & up_iota)}
+        for v in sorted(interior - {tau, iota}):
             if v < tau:
                 t2_wit.append((e, v))
     return TreeConditionReport(not t1_wit, t1_wit, not t2_wit, t2_wit)

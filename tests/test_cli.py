@@ -111,6 +111,18 @@ def test_subdivide_then_h1_multigraph(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Z^3"
 
 
+def test_subdivide_triangle_for_1100_particles(tmp_path, capsys):
+    # the triangle opens into one cycle of 1,101 edges; the cycle search walks
+    # it on its own stack, so the recursion limit does not bound n
+    raw = tmp_path / "triangle.json"
+    raw.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3], [1, 3]],
+                               "tree_edges": [[1, 2], [2, 3]], "root": 1}))
+    with pytest.warns(UserWarning, match="no rotation"):
+        assert main(["subdivide", str(raw), "-n", "1100"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (len(data["vertices"]), len(data["edges"])) == (1101, 1101)
+
+
 def test_cells_listing():
     r = run_cli("cells", THETA, "-n", "2", "--dim", "1", "--kind", "critical")
     assert r.returncode == 0

@@ -164,6 +164,18 @@ def test_check_theta_n12_cycle_violations():
     assert len(rep.cycle_violations) == 3
 
 
+def test_check_1100_cycle_at_1100_particles():
+    # one cycle one edge short; the search runs deeper than the interpreter's
+    # recursion limit on its own stack
+    m = 1100
+    g = bf.parse_graph({"vertices": list(range(1, m + 1)),
+                        "edges": [[v, v % m + 1] for v in range(1, m + 1)],
+                        "tree_edges": [[v, v + 1] for v in range(1, m)], "root": 1})
+    rep = bf.check_subdivision(g, m)
+    assert [len(c) for c in rep.cycle_violations] == [m]
+    assert rep.path_violations == [] and rep.short_root_arc is None
+
+
 def test_check_path_fixture():
     g = graph("path")
     for n in range(1, 6):
