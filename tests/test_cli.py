@@ -424,6 +424,19 @@ def test_rep_verify_names_a_missing_matrix_before_allocating(tmp_path, capsys, m
     assert "no matrix assigned to generator {e(1,8),2}" in capsys.readouterr().err
 
 
+def test_rep_verify_overflowing_entry_stderr_is_the_error_alone(tmp_path):
+    # an entry of 1e200 overflows the unitarity check to a NaN defect, which
+    # fails; numpy's overflow warnings stay off stderr
+    pres, assign = tmp_path / "pres.json", tmp_path / "assign.json"
+    pres.write_text(json.dumps(MIN2))
+    huge = {"{e(1,8),2}": [[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+    assign.write_text(json.dumps({"k": 2, "matrices": huge}))
+    r = run_cli("rep-verify", str(pres), str(assign))
+    assert r.returncode == 2
+    assert r.stderr == ("braidforge: validation error: matrix for {e(1,8),2} "
+                        "is not unitary (defect nan)\n")
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
 
