@@ -1,13 +1,19 @@
 """Exchange loops, their Morse images, and physical presentations.
 
-Two families of loops generate everything of physical interest: a pair
-exchange at a tree junction (Y loop, six letters) and a single particle
-driven around a simple cycle with all other particles parked (O loop).  The
-solver expresses the critical-cell generators of a minimized presentation as
-words in such loops and rewrites all relators through that dictionary; one
-resolver reads every other cell through its Tietze elimination.  A loop's
-image is the flow image of the closed loop itself: the falling path that
-would base it consists of collapsible cells, which flow to the empty word.
+A loop system is a list of loops from two families: a pair exchange at a
+tree junction (Y loop, six letters) and a single particle driven around a
+simple cycle with all other particles parked (O loop).  The solver expresses
+the critical-cell generators of a minimized presentation as words in the
+given loops and rewrites all relators through that dictionary.  The two
+families do not always suffice: an O loop cannot park a particle on its own
+cycle, so a deleted-edge cell with a blocked vertex on that cycle can stay
+unsolved (it does on the lasso at n = 2-4, K4 and K5 at n = 2 and theta at
+n = 5 with one O loop per deleted edge).  An unsolved generator raises
+PhysicalSolveError naming it, with the Y loops that would reach it when there
+are any.  One resolver reads every other cell through its Tietze
+elimination.  A loop's image is the flow image of the closed loop itself:
+the falling path that would base it consists of collapsible cells, which
+flow to the empty word.
 """
 
 from __future__ import annotations
