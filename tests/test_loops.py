@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -8,7 +9,8 @@ import braidforge as bf
 from braidforge import words as W
 from braidforge.cells import inverse_word, letter_endpoints
 from braidforge.errors import PhysicalSolveError, ValidationError
-from braidforge.loops import _suggest_loops, check_closed, loop_image, loop_word
+from braidforge.loops import (_suggest_loops, _validate_consequences, check_closed,
+                              loop_image, loop_word)
 
 from helpers import (E18, E59, E111, cell, complete_graph, complex_for, cw,
                      edge_crossings, graph, minimized, morse, og, theta_cells,
@@ -377,3 +379,54 @@ def test_physical_presentation_digest(name, n, digest):
         out = [type(exc).__name__, str(exc)]
     blob = json.dumps(out, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def _validation_error(mp, pp, at, extra):
+    """The message with which validation refuses `pp` once the relators
+    `extra` are inserted before its relator `at`; None when it accepts."""
+    relators = pp.relators[:at] + extra + pp.relators[at:]
+    try:
+        _validate_consequences(mp, dataclasses.replace(pp, relators=relators))
+    except PhysicalSolveError as exc:
+        return str(exc)
+    return None
+
+
+def test_validation_names_the_first_bogus_relator():
+    # free Morse presentation (theta n = 2): a relator must expand to the
+    # empty word, so a commutator of two cycle loops is refused
+    mp, pp = morse("theta", 2), _physical(2)
+    assert _validation_error(mp, pp, 0, [("bogus:cancels", (1, 2, -2, -1))]) is None
+    assert _validation_error(mp, pp, 0, [
+        ("bogus:cancels", (1, 2, -2, -1)),
+        ("bogus:commutator", (2, 3, -2, -3)),
+        ("bogus:square", (1, 1))]) == (
+        "physical relator bogus:commutator is not freely trivial over a free "
+        "Morse presentation")
+
+    # relators in the Morse presentation: only the abelianized class counts,
+    # so commutators pass, and so does gamma = gamma' on theta n = 4, which
+    # holds up to conjugation
+    accepted = [("bogus:commutator", (4, 5, -4, -5)), ("bogus:gamma=gamma'", (1, -2))]
+    refused = [("bogus:aU", (4,)), ("bogus:square", (5, 5))]
+    mp, pp = morse("theta", 4), _physical(4)
+    assert _validation_error(mp, pp, 1, accepted) is None
+    assert _validation_error(mp, pp, 1, accepted + refused) == (
+        "physical relator bogus:aU is not an abelianized consequence of the "
+        "Morse relators")
+
+    # K4 n = 3 on the automatic loop system: six loops, five relators
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        o = bf.ordered(bf.subdivide_for(complete_graph(4), 3))
+    cx = bf.CubeComplex(o, 3)
+    mp = bf.morse_presentation(cx)
+    pp = bf.solve_physical_presentation(cx, bf.minimize_morse(o, mp)[0],
+                                        _auto_loop_system(cx, mp), mp)
+    assert (len(pp.loops), len(pp.relators)) == (6, 5)
+    commutator = [("bogus:commutator", (1, 4, -1, -4))]
+    assert _validation_error(mp, pp, 3, commutator) is None
+    assert _validation_error(mp, pp, 3, commutator + [
+        ("bogus:square", (6, 6)), ("bogus:loop", (3,))]) == (
+        "physical relator bogus:square is not an abelianized consequence of "
+        "the Morse relators")
