@@ -12,9 +12,8 @@ from .loops import OLoopSpec, YLoopSpec, loop_image, loop_word, o_loop_word, \
     solve_physical_presentation, y_loop_word
 from .morse import MorsePresentation, morse_presentation, rewrite_word
 from .oracle import skeleton_presentation
-from .presentation import (FPGroup, HomologyClass, abelianization_matrix,
-                           from_morse, homology_h1, smith_normal_form,
-                           tietze_minimize)
+from .presentation import (FPGroup, HomologyClass, from_morse, homology_h1,
+                           smith_normal_form, tietze_minimize)
 from .reps import (UnitaryAssignment, classify_theta_component, eval_word,
                    locally_abelian_solve, solve_representation,
                    verify_representation)
@@ -23,8 +22,8 @@ from .stability import minimize_morse, plus_cell, plus_word, stability_report
 __all__ = [
     "Cell", "CubeComplex", "FPGroup", "Graph", "HomologyClass",
     "MorsePresentation", "OLoopSpec", "OrderedGraph", "UnitaryAssignment",
-    "YLoopSpec", "abelianization_matrix", "check_subdivision",
-    "check_tree_conditions", "classify_theta_component", "eval_word",
+    "YLoopSpec", "check_subdivision", "check_tree_conditions",
+    "classify_theta_component", "eval_word",
     "from_morse", "homology_h1", "locally_abelian_solve", "loop_image",
     "loop_word", "minimize_morse", "morse_presentation", "o_loop_word",
     "ordered", "parse_graph", "plus_cell", "plus_word",

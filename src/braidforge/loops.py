@@ -25,7 +25,7 @@ from .cells import Cell, CellWord, CubeComplex, letter_endpoints
 from .errors import PhysicalSolveError, ValidationError
 from .graph import OrderedGraph
 from .morse import DEFAULT_MAX_STEPS, MorsePresentation, rewrite_word
-from .presentation import (FPGroup, TietzeResult, _named, abelianization_matrix,
+from .presentation import (FPGroup, TietzeResult, _named, abelianization_rows,
                            from_morse, in_row_lattice, named_word_to_indices)
 
 
@@ -299,26 +299,31 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
 
 def _validate_consequences(mp: MorsePresentation, pp: PhysicalPresentation):
     """Physical relators, read back through the loop images, must be
-    consequences of the Morse relators: abelianized membership always, free
-    triviality when the Morse presentation is relator-free."""
+    consequences of the Morse relators: free triviality when the Morse
+    presentation is relator-free, abelianized membership otherwise.  One
+    lattice comparison checks every relator; only when it fails is each
+    checked in turn, to name the first that is not a consequence."""
     morse_fp = from_morse(mp)
-    matrix = abelianization_matrix(morse_fp)
     images = [named_word_to_indices(lg.image, morse_fp.generators)
               for lg in pp.loops]
-    for origin, rel in pp.relators:
-        expanded: list[int] = []
-        for x in rel:
-            img = images[abs(x) - 1]
-            expanded.extend(img if x > 0 else W.inverse(img))
-        reduced = W.free_reduce(expanded)
-        if not morse_fp.relators:
-            if reduced:
+
+    def image(x):
+        return images[x - 1] if x > 0 else W.inverse(images[-x - 1])
+
+    expanded = [W.concat(*map(image, rel)) for _, rel in pp.relators]
+    if not morse_fp.relators:
+        for (origin, _), word in zip(pp.relators, expanded):
+            if word:
                 raise PhysicalSolveError(
                     f"physical relator {origin} is not freely trivial over a "
                     "free Morse presentation")
-            continue
-        vec = W.exponent_sums(reduced, len(morse_fp.generators))
-        if not in_row_lattice(matrix, vec):
+        return
+    rows = abelianization_rows(morse_fp)
+    vectors = abelianization_rows(FPGroup(morse_fp.generators, tuple(expanded)))
+    if in_row_lattice(rows, vectors):
+        return
+    for (origin, _), vector in zip(pp.relators, vectors):
+        if not in_row_lattice(rows, [vector]):
             raise PhysicalSolveError(
                 f"physical relator {origin} is not an abelianized consequence "
                 "of the Morse relators")

@@ -147,13 +147,6 @@ def abelianization_rows(p: FPGroup) -> list[dict[int, int]]:
     return out
 
 
-def abelianization_matrix(p: FPGroup) -> list[list[int]]:
-    """Relators x generators matrix of signed occurrence counts: the rows of
-    `abelianization_rows`, written out densely."""
-    return [[row.get(j, 0) for j in range(len(p.generators))]
-            for row in abelianization_rows(p)]
-
-
 @dataclass
 class SNF:
     diagonal: tuple[int, ...]     # nonzero invariant factors d1 | d2 | ...
@@ -235,18 +228,17 @@ def smith_normal_form(matrix) -> SNF:
     return SNF(tuple(pivots), len(pivots))
 
 
-def in_row_lattice(matrix, vector) -> bool:
-    """Is `vector` an integer combination of the rows of `matrix`?
+def in_row_lattice(rows, vectors) -> bool:
+    """Is every vector an integer combination of `rows`?
 
-    L(A) lies in L(A) + Zv.  When appending v as a row keeps the rank, the
-    index of L(A) in L(A) + Zv is prod d(A) / prod d(A + v) over the
-    invariant factors, so v is a member exactly when they do not change."""
-    if not matrix:
-        return all(x == 0 for x in vector)
-    if len(vector) != len(matrix[0]):
-        raise ValueError("length mismatch")
-    return (smith_normal_form(matrix).diagonal
-            == smith_normal_form(list(matrix) + [list(vector)]).diagonal)
+    Rows and vectors are dense sequences or sparse {column: value} mappings,
+    as `smith_normal_form` reads them.  L(A) lies in L(A) + L(V).  When
+    appending the vectors as rows keeps the rank, the index of L(A) in
+    L(A) + L(V) is prod d(A) / prod d(A; V) over the invariant factors, so
+    every vector is a member exactly when they do not change."""
+    rows = list(rows)
+    return (smith_normal_form(rows).diagonal
+            == smith_normal_form(rows + list(vectors)).diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Free-group words as tuples of signed 1-based generator indices.
 
 Index i stands for the i-th generator, -i for its inverse.  The empty
-tuple is the identity.  All functions are pure and return tuples.
+tuple is the identity.  All functions are pure; words come back as tuples.
 """
 
 from __future__ import annotations
@@ -90,9 +90,3 @@ def cyclically_equal(a, b, up_to_inversion: bool = False) -> bool:
                 return True
     return False
 
-
-def exponent_sums(word, num_gens: int) -> list[int]:
-    row = [0] * num_gens
-    for x in word:
-        row[abs(x) - 1] += 1 if x > 0 else -1
-    return row

@@ -9,6 +9,7 @@ import numpy as np
 import braidforge as bf
 from braidforge.cells import Cell
 from braidforge.fixtures import load_fixture
+from braidforge.presentation import abelianization_rows, smith_normal_form
 
 E18, E111, E59 = (1, 8), (1, 11), (5, 9)
 
@@ -227,6 +228,33 @@ def reference_snf_diagonal(matrix) -> tuple[int, ...]:
         pivots.append(abs(p))
         del rows[r], cols[c]
     return tuple(pivots)
+
+
+def exponent_sums(word, num_gens: int) -> list[int]:
+    """The dense exponent-sum row of a word over `num_gens` generators."""
+    row = [0] * num_gens
+    for x in word:
+        row[abs(x) - 1] += 1 if x > 0 else -1
+    return row
+
+
+def abelianization_matrix(p: bf.FPGroup) -> list[list[int]]:
+    """Relators x generators matrix of signed occurrence counts: the rows of
+    `abelianization_rows`, written out densely."""
+    return [[row.get(j, 0) for j in range(len(p.generators))]
+            for row in abelianization_rows(p)]
+
+
+def reference_in_row_lattice(matrix, vector) -> bool:
+    """Membership of one dense vector in the row lattice of a dense matrix,
+    by the earlier single-vector routine: two Smith normal forms per
+    vector, and a vector of another width is refused."""
+    if not matrix:
+        return all(x == 0 for x in vector)
+    if len(vector) != len(matrix[0]):
+        raise ValueError("length mismatch")
+    return (smith_normal_form(matrix).diagonal
+            == smith_normal_form(list(matrix) + [list(vector)]).diagonal)
 
 
 def reference_loss_and_grads(relators, mats, k):

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 import braidforge as bf
 from braidforge import words as W
 from braidforge.presentation import (Elimination, FPGroup, HomologyClass,
-                                     abelianization_matrix, abelianization_rows,
-                                     homology_h1, in_row_lattice,
-                                     smith_normal_form, tietze_minimize)
+                                     abelianization_rows, homology_h1,
+                                     in_row_lattice, smith_normal_form,
+                                     tietze_minimize)
 
-from helpers import (complete_graph, graph, minimized, morse,
-                     reference_snf_diagonal, theta_cells)
+from helpers import (abelianization_matrix, complete_graph, graph, minimized,
+                     morse, reference_in_row_lattice, reference_snf_diagonal,
+                     theta_cells)
 
 
 # -- words ---------------------------------------------------------------------
@@ -174,14 +175,17 @@ def test_snf_huge_entries_use_bignum_fallback():
 
 def test_in_row_lattice():
     m = [[2, 0], [0, 3]]
-    assert in_row_lattice(m, [4, 3])
-    assert not in_row_lattice(m, [1, 0])
-    assert in_row_lattice([], [0, 0])
-    assert not in_row_lattice([], [0, 1])
-    assert in_row_lattice([[0, 0]], [0, 0])
-    assert not in_row_lattice([[0, 0]], [1, 0])
-    with pytest.raises(ValueError, match="length mismatch"):
-        in_row_lattice(m, [1, 2, 3])
+    assert in_row_lattice(m, [[4, 3]])
+    assert not in_row_lattice(m, [[1, 0]])
+    assert in_row_lattice([], [[0, 0]])
+    assert not in_row_lattice([], [[0, 1]])
+    assert in_row_lattice([[0, 0]], [[0, 0]])
+    assert not in_row_lattice([[0, 0]], [[1, 0]])
+    assert not in_row_lattice(m, [[1, 2, 3]])
+    # a batch is in when every vector is; the empty batch always is
+    assert in_row_lattice(m, [[4, 3], {0: 2}, [0, -6]])
+    assert not in_row_lattice(m, [[4, 3], [1, 0]])
+    assert in_row_lattice(m, [])
 
 
 def _rational_solution(rows, vector):
@@ -222,7 +226,7 @@ def test_in_row_lattice_matches_exact_solve(rows, coeffs, step):
     n = len(rows[0])
     # every integer combination of the rows is a member, dependent rows too
     combo = [sum(y * row[j] for y, row in zip(coeffs, rows)) for j in range(n)]
-    assert in_row_lattice(rows, combo)
+    assert in_row_lattice(rows, [combo])
     # one small step off that combination: compare with the exact solve
     vector = [a + b for a, b in zip(combo, step)]
     try:
@@ -230,7 +234,47 @@ def test_in_row_lattice_matches_exact_solve(rows, coeffs, step):
     except ValueError:
         return
     member = y is not None and all(x.denominator == 1 for x in y)
-    assert in_row_lattice(rows, vector) == member
+    assert in_row_lattice(rows, [vector]) == member
+
+
+@st.composite
+def _lattice_batches(draw):
+    """Up to four dense rows and up to four vectors of one width; a vector is
+    an integer combination of the rows or drawn freely, so a batch can mix
+    members and non-members."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entries = st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, max_size=4))
+    vectors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(st.integers(min_value=-3, max_value=3)) for _ in rows]
+            vectors.append([sum(y * row[j] for y, row in zip(coeffs, rows))
+                            for j in range(n)])
+        else:
+            vectors.append(draw(entries))
+    return rows, vectors
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@given(_lattice_batches(), st.booleans(), st.booleans())
+@example(([[2, 0], [0, 3]], [[4, 3], [1, 0], [2, 3]]), True, False)
+@example(([[2, 0], [0, 3]], []), False, True)
+@example(([], [[0, 0], [0, 1]]), False, False)
+@example(([], []), True, True)
+@example(([[1, 2], [2, 4]], [[3, 6], [-1, -2]]), True, True)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_batched_in_row_lattice_matches_per_vector_reference(case, sparse_rows,
+                                                             sparse_vectors):
+    # one comparison for the batch, two Smith normal forms per vector for
+    # the reference, which takes dense rows only
+    rows, vectors = case
+    expected = all(reference_in_row_lattice(rows, v) for v in vectors)
+    assert in_row_lattice(_sparse(rows) if sparse_rows else rows,
+                          _sparse(vectors) if sparse_vectors else vectors) == expected
 
 
 # -- homology ----------------------------------------------------------------------
