@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 import warnings
 
 import pytest
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 import braidforge as bf
 from braidforge.cells import REDUNDANT, Cell, MorseClass, inverse_word
 from braidforge.errors import MatchingError, RewriteLimitError, ValidationError
-from braidforge.morse import rewrite_word
+from braidforge.morse import _square_rest, rewrite_word
 from braidforge.presentation import (HomologyClass, abelianization_rows,
                                      from_morse, homology_h1, in_row_lattice)
 from braidforge import words as W
 
 from helpers import (cell_word_to_indices, complete_bipartite_33, complete_graph,
-                     complex_for, cw, edge_crossings, exponent_sums, morse, og,
+                     complex_for, cw, edge_crossings, exponent_sums, graph, morse, og,
                      random_multigraph, theta_cells, theta_loop_specs)
 
 
@@ -187,11 +188,10 @@ def test_flow_matches_rescanning_reference():
         _assert_flow_matches_reference(cx)
 
 
-@given(st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_flow_matches_rescanning_reference_on_random_multigraphs(seed):
-    # the seeded random multigraphs of the subdivision digest, at two, three
-    # and four particles; complexes with more than 400 squares are skipped
+def _random_multigraph_complexes(seed):
+    """The complexes of the seeded random multigraph of the subdivision
+    digest at two, three and four particles, leaving out those with more
+    than 400 squares."""
     data = random_multigraph(random.Random(seed))
     for n in (2, 3, 4):
         try:
@@ -202,7 +202,79 @@ def test_flow_matches_rescanning_reference_on_random_multigraphs(seed):
             continue            # e.g. a loop at the root: no subdivision serves
         cx = bf.CubeComplex(og, n)
         if len(cx.cells(2)) <= 400:
-            _assert_flow_matches_reference(cx)
+            yield cx
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_flow_matches_rescanning_reference_on_random_multigraphs(seed):
+    for cx in _random_multigraph_complexes(seed):
+        _assert_flow_matches_reference(cx)
+
+
+def _assert_one_cell_reads_match_general_ones(cx):
+    """`match_letter`, the matching rule stated for one edge, agrees with the
+    general `_match` on every 1-cell; every redundant 1-cell sits 4th and
+    positive or 3rd and inverted on its matched square, where the flow reads
+    it, and that read agrees with `_square_rest`'s scan."""
+    redundant = []
+    for cell in cx.cells(1):
+        code = cx.encode(cell)
+        kind, tau = cx.match_letter(code)
+        assert (kind, tau) == cx._match((code >> cx._shift,), code & cx._vertex_bits)
+        if kind == REDUNDANT:
+            redundant.append((cell, 1))
+            a, b, c, d = cx.square(tau)
+            assert (d == code) != (c == ~code)
+            assert _square_rest(cx, code, tau) == ((~c, ~b, ~a) if d == code else (d, a, b))
+    # the flow itself: a square rotated by one letter has the same rest but
+    # no letter where the positional read looks, so it is scanned
+    read, scanned = (bf.CubeComplex(cx.og, cx.n, check=False) for _ in range(2))
+    square = scanned.square
+    scanned.square = lambda tau: square(tau)[1:] + square(tau)[:1]
+    assert rewrite_word(read, redundant).output == rewrite_word(scanned, redundant).output
+    assert list(read.flow_cache.items()) == list(scanned.flow_cache.items())
+
+
+def test_one_cell_reads_match_general_ones():
+    cases = [complex_for("theta", n) for n in (2, 3, 4)]
+    cases += [bf.CubeComplex(bf.ordered(bf.subdivide_for(g, 3)), 3)
+              for g in (complete_graph(4), complete_bipartite_33())]
+    for cx in cases:
+        _assert_one_cell_reads_match_general_ones(cx)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_one_cell_reads_match_general_ones_on_random_multigraphs(seed):
+    for cx in _random_multigraph_complexes(seed):
+        _assert_one_cell_reads_match_general_ones(cx)
+
+
+def test_flow_line_deeper_than_the_recursion_limit(monkeypatch):
+    # theta subdivided for 1,200 particles, at two: this cell's flow line
+    # opens 2,393 squares inside one another, far more frames than the
+    # default recursion limit, so only a flow on an explicit stack rewrites
+    # it.  A frame opens with a `square` read and closes with a `free_reduce`.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cx = bf.CubeComplex(bf.ordered(bf.subdivide_for(graph("theta"), 1200)), 2)
+    depth = [0, 0]
+    square, free_reduce = cx.square, W.free_reduce
+
+    def opened(tau):
+        depth[0] += 1
+        depth[1] = max(depth)
+        return square(tau)
+
+    def closed(word):
+        depth[0] -= 1
+        return free_reduce(word)
+    cx.square = opened
+    monkeypatch.setattr(W, "free_reduce", closed)
+    out = rewrite_word(cx, ((Cell(((3593, 3594),), (3592,)), 1),))
+    assert out.output == ()
+    assert depth == [0, 2393] and 2393 > sys.getrecursionlimit()
 
 
 class _CyclicComplex:
