@@ -17,7 +17,9 @@ mask with bit v set for vertex v; a 1-cell is one int, (edge index << shift)
 stated once, as bit operations on masks precomputed per complex (the bit
 that blocks each vertex, each edge's endpoints, each tree edge's witnesses,
 each vertex's parent edge).  `classify`, `critical_cells`, `path_to_base`,
-the boundary words and the flow in `morse.rewrite_word` all read it.
+the boundary words and the flow in `morse.rewrite_word` all read it; the
+flow classifies through `match_letter`, the same rule written out for a
+1-cell's single edge.
 
 `critical_cells` generates the critical cells directly from that rule, in
 any dimension up to N.  The full enumeration `cells` remains only for the
@@ -268,8 +270,39 @@ class CubeComplex:
         return REDUNDANT, self._replaced(edges, vmask, low)
 
     def match_letter(self, code: int):
-        """`_match` of the 1-cell with this code."""
-        return self._match((code >> self._shift,), code & self._vertex_bits)
+        """`_match` of the 1-cell with this code, the rule stated for a
+        single edge e: the only facet that can map onto the cell drops e and
+        puts back iota(e), and that facet is a 0-cell, so nothing recurses."""
+        e, vmask = code >> self._shift, code & self._vertex_bits
+        occupied, block = vmask | self._ends[e], self._block
+        low, rest = 0, vmask
+        while rest:
+            bit = rest & -rest
+            if not occupied & block[bit]:
+                low = bit
+                break
+            rest ^= bit
+        witness = self._witness[e]
+        if not low and (witness is None or vmask & witness):
+            return CRITICAL, None
+        if witness is not None:
+            # the facet vmask | iota(e) is redundant through iota(e) when no
+            # lower vertex of it is unblocked; iota(e) itself is not blocked
+            # there, its parent tau(e) being free
+            iota = self._iota_bit[e]
+            rest = vmask & (iota - 1)
+            while rest:
+                bit = rest & -rest
+                if not vmask & block[bit]:
+                    break
+                rest ^= bit
+            else:
+                return COLLAPSIBLE, ((), vmask | iota)
+        if not low:
+            raise MatchingError(f"1-cell {self.decode(code)} is neither critical, "
+                                "collapsible nor redundant; matching is broken")
+        pe = self._parent_edge[low]
+        return REDUNDANT, ((e, pe) if e < pe else (pe, e), vmask ^ low)
 
     def square(self, parts) -> tuple[int, int, int, int]:
         """The four letters around a square 2-cell, each a 1-cell code or

@@ -10,7 +10,9 @@ critical 1-cells numbered in canonical order.  Every 1-cell's image is
 computed once per complex and kept in the complex's `flow_cache`, keyed by
 code, the one memo on the rewrite path, so every relator, loop image and
 stability lift shares it; a cell is classified only when it first enters
-that memo.  Cells are decoded only for the trace, the output and errors.
+that memo.  A redundant cell's square is read at the two positions where
+`CubeComplex.square` puts such a cell, and scanned only when it is found at
+neither.  Cells are decoded only for the trace, the output and errors.
 """
 
 from __future__ import annotations
@@ -77,16 +79,18 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
             trace.steps.append(RewriteStep("simple_homotopy", j, (cell, cx.cell_of(tau))))
 
     # Redundant cells are expanded depth first on an explicit stack of frames
-    # (code, whether it is read positively, letters of its square still to
-    # read, its image so far), not by recursion, so a flow line of any
+    # [code, whether it is read positively, letters of its square still to
+    # read, its image so far], not by recursion, so a flow line of any
     # length fits.  The bottom frame reads the input word.
     images: list[int] = []
-    stack = [(None, True, iter(letters), images)]
+    stack = [[None, True, iter(letters), images]]
     open_codes: set[int] = set()
     expansions = 0
+    square = cx.square
     while stack:
-        top, top_positive, pending, out = stack[-1]
-        for x in pending:
+        frame = stack[-1]
+        out = frame[3]
+        for x in frame[2]:
             code = x if x >= 0 else ~x
             got = cache.get(code)
             if got is None:
@@ -102,20 +106,29 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
                             f"rewriting exceeded the bound of {max_steps} flow "
                             "expansions (raise --max-steps only if you are sure)")
                     open_codes.add(code)
-                    stack.append((code, x >= 0, iter(_square_rest(cx, code, tau)), []))
+                    # `square` puts a redundant cell 4th and positive or 3rd
+                    # and inverted; any other square is scanned
+                    boundary, rest = square(tau), None
+                    if len(boundary) == 4 and boundary.count(code) + boundary.count(~code) == 1:
+                        a, b, c, d = boundary
+                        if d == code:
+                            rest = (~c, ~b, ~a)
+                        elif c == ~code:
+                            rest = (d, a, b)
+                    stack.append([code, x >= 0, iter(rest or _square_rest(cx, code, tau)), []])
                     break
                 if kind == CRITICAL and code not in index:
                     raise MatchingError(f"critical cell {cx.decode(code)} is not "
                                         "among the generated critical cells")
                 got = cache[code] = (index[code],) if kind == CRITICAL else ()
             if got:
-                out.extend(got if x >= 0 else W.inverse(got))
+                out.extend(got if x >= 0 else [-y for y in got[::-1]])
         else:
             stack.pop()
-            if top is not None:
-                open_codes.discard(top)
-                got = cache[top] = W.free_reduce(out)
-                stack[-1][3].extend(got if top_positive else W.inverse(got))
+            if frame[0] is not None:
+                open_codes.discard(frame[0])
+                got = cache[frame[0]] = W.free_reduce(out)
+                stack[-1][3].extend(got if frame[1] else [-y for y in got[::-1]])
 
     generators = cx.generators
     reduced: list[int] = []
