@@ -441,10 +441,35 @@ class OrderedGraph:
         return kids.index(child) + 1
 
     def is_two_connected(self) -> bool:
+        """At least three vertices, connected and without a cut vertex, found
+        by one depth-first walk with low-links (Hopcroft & Tarjan, CACM 1973)
+        on an explicit stack: the root cuts when it has two tree children,
+        any other vertex u when the subtree of a child reaches no edge above
+        u."""
+        if self.n < 3:
+            return False
         adj = _adjacency(range(1, self.n + 1), self.edges)
-        return self.n >= 3 and all(
-            len(_reachable(adj, 2 if cut == 1 else 1, avoid=cut)) == self.n - 1
-            for cut in range(1, self.n + 1))
+        depth, low = {1: 0}, {1: 0}
+        stack = [(1, iter(adj[1]))]
+        root_children = 0
+        while stack:
+            v, pending = stack[-1]
+            for w, _ in pending:
+                if w not in depth:
+                    depth[w] = low[w] = len(stack)
+                    stack.append((w, iter(adj[w])))
+                    break
+                low[v] = min(low[v], depth[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if u == 1:
+                        root_children += 1
+                    elif low[v] >= depth[u]:
+                        return False
+                    low[u] = min(low[u], low[v])
+        return root_children == 1 and len(depth) == self.n
 
 
 def ordered(g: Graph) -> OrderedGraph:
