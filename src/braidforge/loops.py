@@ -18,6 +18,7 @@ flow to the empty word.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import words as W
@@ -310,16 +311,26 @@ def _validate_consequences(mp: MorsePresentation, pp: PhysicalPresentation):
     def image(x):
         return images[x - 1] if x > 0 else W.inverse(images[-x - 1])
 
-    expanded = [W.concat(*map(image, rel)) for _, rel in pp.relators]
     if not morse_fp.relators:
-        for (origin, _), word in zip(pp.relators, expanded):
-            if word:
+        for origin, rel in pp.relators:
+            if W.concat(*map(image, rel)):
                 raise PhysicalSolveError(
                     f"physical relator {origin} is not freely trivial over a "
                     "free Morse presentation")
         return
+    # exponent sums add up along a word, so a relator's row over the Morse
+    # generators is its row over the loops times the loops' image rows: no
+    # relator is expanded or freely reduced
+    image_rows = abelianization_rows(FPGroup(morse_fp.generators, tuple(images)))
+    vectors = []
+    for loop_row in abelianization_rows(
+            FPGroup(pp.group.generators, tuple(rel for _, rel in pp.relators))):
+        sums = Counter()
+        for i, c in loop_row.items():
+            for j, s in image_rows[i].items():
+                sums[j] += c * s
+        vectors.append({j: s for j, s in sums.items() if s})
     rows = abelianization_rows(morse_fp)
-    vectors = abelianization_rows(FPGroup(morse_fp.generators, tuple(expanded)))
     if in_row_lattice(rows, vectors):
         return
     for (origin, _), vector in zip(pp.relators, vectors):
