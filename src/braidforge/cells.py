@@ -286,18 +286,17 @@ class CubeComplex:
         if not low and (witness is None or vmask & witness):
             return CRITICAL, None
         if witness is not None:
-            # the facet vmask | iota(e) is redundant through iota(e) when no
-            # lower vertex of it is unblocked; iota(e) itself is not blocked
-            # there, its parent tau(e) being free
+            # the facet drops e and puts back iota(e); it is redundant through
+            # iota(e) when that is its lowest unblocked vertex
             iota = self._iota_bit[e]
-            rest = vmask & (iota - 1)
+            facet = rest = vmask | iota
             while rest:
                 bit = rest & -rest
-                if not vmask & block[bit]:
+                if not facet & block[bit]:
+                    if bit == iota:
+                        return COLLAPSIBLE, ((), facet)
                     break
                 rest ^= bit
-            else:
-                return COLLAPSIBLE, ((), vmask | iota)
         if not low:
             raise MatchingError(f"1-cell {self.decode(code)} is neither critical, "
                                 "collapsible nor redundant; matching is broken")

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -249,6 +250,29 @@ def test_one_cell_reads_match_general_ones():
 def test_one_cell_reads_match_general_ones_on_random_multigraphs(seed):
     for cx in _random_multigraph_complexes(seed):
         _assert_one_cell_reads_match_general_ones(cx)
+
+
+def test_one_cell_rule_matches_general_rule_on_a_broken_matching():
+    # every way of pointing one vertex's blocking bit at another vertex: the
+    # two statements of the rule must also fail alike, down to the message
+    # for a 1-cell that is neither critical, collapsible nor redundant
+    def outcome(match, *args):
+        try:
+            return match(*args)
+        except (MatchingError, KeyError) as exc:   # KeyError: an unblocked root
+            return type(exc), str(exc)
+
+    neither = 0
+    for vertex, blocker in itertools.product(complex_for("theta", 2)._block, repeat=2):
+        cx = bf.CubeComplex(og("theta"), 2, check=False)
+        cx._block = {**cx._block, vertex: blocker}
+        for cell in cx.cells(1):
+            code = cx.encode(cell)
+            got = outcome(cx.match_letter, code)
+            assert got == outcome(cx._match, (code >> cx._shift,), code & cx._vertex_bits)
+            neither += got == (MatchingError, f"1-cell {cell} is neither critical, "
+                               "collapsible nor redundant; matching is broken")
+    assert neither == 82
 
 
 def test_flow_line_deeper_than_the_recursion_limit(monkeypatch):
