@@ -7,7 +7,8 @@ from functools import lru_cache
 import numpy as np
 
 import braidforge as bf
-from braidforge.cells import Cell
+from braidforge.cells import COLLAPSIBLE, CRITICAL, REDUNDANT, Cell
+from braidforge.errors import MatchingError
 from braidforge.fixtures import load_fixture
 from braidforge.presentation import abelianization_rows, smith_normal_form
 
@@ -88,6 +89,65 @@ def inject_flow_cycle(monkeypatch, cx) -> tuple[Cell, Cell]:
                         (code_b, code_a) if self.cell_of(tau) == square_b
                         else real(self, tau))
     return a, b
+
+
+def reference_match(cx, edges, vmask):
+    """(kind, partner parts) of a cell of `cx` by the earlier general rule:
+    critical with no partner, collapsible with the redundant facet that a
+    recursive search finds mapped onto the cell, or redundant with the cell
+    that replaces its lowest unblocked vertex by the parent edge."""
+    occupied = cx._occupied(edges, vmask)
+    low = cx._unblocked(vmask, occupied)
+    if not low and not cx._respected(edges, vmask):
+        return CRITICAL, None
+    preimage = _reference_preimage(cx, edges, vmask, occupied)
+    if preimage is not None:
+        return COLLAPSIBLE, preimage
+    if not low:
+        raise MatchingError(
+            f"{len(edges)}-cell {cx.cell_of((edges, vmask))} is neither "
+            "critical, collapsible nor redundant; matching is broken")
+    return REDUNDANT, cx._replaced(edges, vmask, low)
+
+
+def _reference_preimage(cx, edges, vmask, occupied):
+    """The unique redundant facet mapped onto the cell, if any: drop a tree
+    edge e, put back iota(e), and require that iota(e) is the lowest
+    unblocked vertex of the resulting redundant cell."""
+    found = None
+    for k, e in enumerate(edges):
+        if cx._witness[e] is None:
+            continue
+        iota = cx._iota_bit[e]
+        facet_occupied = occupied ^ cx._tau_bit[e]
+        facet = (edges[:k] + edges[k + 1:], vmask | iota)
+        if cx._unblocked(facet[1], facet_occupied) != iota:
+            continue
+        # not critical, so redundant unless it is itself collapsible
+        if facet[0] and _reference_preimage(cx, *facet, facet_occupied) is not None:
+            continue
+        if found is not None:
+            raise MatchingError(
+                f"matching not injective: {cx.cell_of(found)} and "
+                f"{cx.cell_of(facet)} both map to {cx.cell_of((edges, vmask))}")
+        found = facet
+    return found
+
+
+def reference_square_rest(cx, code: int, tau) -> tuple[int, ...]:
+    """The letters equal to the 1-cell `code` across its matched square tau,
+    by the earlier scan of the square for the cell."""
+    boundary = cx.square(tau)
+    k = boundary.count(code) + boundary.count(~code)
+    if k != 1:
+        raise MatchingError(
+            f"{cx.decode(code)} occurs {k} times in the boundary of its "
+            f"matched 2-cell {cx.cell_of(tau)}")
+    positive = code in boundary
+    i = boundary.index(code if positive else ~code)
+    rest = boundary[i + 1:] + boundary[:i]
+    # sigma^eps * rest is null-homotopic, so sigma = rest^(-eps)
+    return tuple([~x for x in rest[::-1]]) if positive else rest
 
 
 def cw(cells: dict, *letters) -> tuple:

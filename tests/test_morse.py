@@ -21,7 +21,8 @@ from braidforge import words as W
 
 from helpers import (cell_word_to_indices, complete_bipartite_33, complete_graph,
                      complex_for, cw, edge_crossings, exponent_sums, graph, morse, og,
-                     random_multigraph, theta_cells, theta_loop_specs)
+                     random_multigraph, reference_match, reference_square_rest,
+                     theta_cells, theta_loop_specs)
 
 
 def test_free_cancellation_of_critical_pair():
@@ -214,10 +215,15 @@ def test_flow_matches_rescanning_reference_on_random_multigraphs(seed):
 
 
 def _assert_one_cell_reads_match_general_ones(cx):
-    """`match_letter`, the matching rule stated for one edge, agrees with the
-    general `_match` on every 1-cell; every redundant 1-cell sits 4th and
+    """`classify` agrees with the reference rule on every cell of dimension
+    0-2; `match_letter`, the matching rule stated for one edge, agrees with
+    the general `_match` on every 1-cell; every redundant 1-cell sits 4th and
     positive or 3rd and inverted on its matched square, where the flow reads
-    it, and that read agrees with `_square_rest`'s scan."""
+    it, and that read agrees with the reference scan."""
+    for cell in cx.cells(0) + cx.cells(1) + cx.cells(2):
+        kind, partner = reference_match(cx, *cx._parts(cell))
+        assert cx.classify(cell) == MorseClass(
+            kind, None if partner is None else cx.cell_of(partner))
     redundant = []
     for cell in cx.cells(1):
         code = cx.encode(cell)
@@ -227,7 +233,8 @@ def _assert_one_cell_reads_match_general_ones(cx):
             redundant.append((cell, 1))
             a, b, c, d = cx.square(tau)
             assert (d == code) != (c == ~code)
-            assert _square_rest(cx, code, tau) == ((~c, ~b, ~a) if d == code else (d, a, b))
+            assert reference_square_rest(cx, code, tau) == (
+                (~c, ~b, ~a) if d == code else (d, a, b))
     # the flow itself: a square rotated by one letter has the same rest but
     # no letter where the positional read looks, so it is scanned
     read, scanned = (bf.CubeComplex(cx.og, cx.n, check=False) for _ in range(2))
@@ -253,26 +260,32 @@ def test_one_cell_reads_match_general_ones_on_random_multigraphs(seed):
 
 
 def test_one_cell_rule_matches_general_rule_on_a_broken_matching():
-    # every way of pointing one vertex's blocking bit at another vertex: the
-    # two statements of the rule must also fail alike, down to the message
-    # for a 1-cell that is neither critical, collapsible nor redundant
+    # every way of pointing one vertex's blocking bit at another vertex: on
+    # every cell of dimension 0-2 the rule must agree with the reference, or
+    # fail with the same exception; `renamed` counts the failures whose
+    # message differs.  `neither` counts the 1-cells that are neither
+    # critical, collapsible nor redundant.
     def outcome(match, *args):
         try:
             return match(*args)
         except (MatchingError, KeyError) as exc:   # KeyError: an unblocked root
             return type(exc), str(exc)
 
-    neither = 0
+    neither = renamed = 0
     for vertex, blocker in itertools.product(complex_for("theta", 2)._block, repeat=2):
         cx = bf.CubeComplex(og("theta"), 2, check=False)
         cx._block = {**cx._block, vertex: blocker}
-        for cell in cx.cells(1):
-            code = cx.encode(cell)
-            got = outcome(cx.match_letter, code)
-            assert got == outcome(cx._match, (code >> cx._shift,), code & cx._vertex_bits)
+        for cell in cx.cells(0) + cx.cells(1) + cx.cells(2):
+            parts = cx._parts(cell)
+            got = outcome(cx._match, *parts)
+            want = outcome(reference_match, cx, *parts)
+            assert got == want or (got[0] == want[0] and isinstance(got[0], type))
+            renamed += got != want
+            if cell.dim == 1:
+                assert got == outcome(cx.match_letter, cx.encode(cell))
             neither += got == (MatchingError, f"1-cell {cell} is neither critical, "
                                "collapsible nor redundant; matching is broken")
-    assert neither == 82
+    assert (neither, renamed) == (82, 0)
 
 
 def test_flow_line_deeper_than_the_recursion_limit(monkeypatch):
