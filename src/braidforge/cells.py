@@ -17,9 +17,11 @@ mask with bit v set for vertex v; a 1-cell is one int, (edge index << shift)
 stated once, as bit operations on masks precomputed per complex (the bit
 that blocks each vertex, each edge's endpoints, each tree edge's witnesses,
 each vertex's parent edge).  `classify`, `critical_cells`, `path_to_base`,
-the boundary words and the flow in `morse.rewrite_word` all read it; the
-flow classifies through `match_letter`, the same rule written out for a
-1-cell's single edge.
+the boundary words and the flow in `morse.rewrite_word` all read it.
+`match_letter` states it for a 1-cell's single edge, and the general rule
+reads a cell's facets through it.  `square` alone fixes the layout of a
+square 2-cell; the flow takes the rest of a redundant 1-cell's matched
+square from `square_rest`.
 
 `critical_cells` generates the critical cells directly from that rule, in
 any dimension up to N.  The full enumeration `cells` remains only for the
@@ -229,40 +231,30 @@ class CubeComplex:
         e = self._parent_edge[low]
         return tuple(sorted(edges + (e,))), vmask ^ low
 
-    def _preimage(self, edges, vmask, occupied):
-        """The unique redundant facet mapped onto the cell, if any: drop a
-        tree edge e, put back iota(e), and require that iota(e) is the lowest
-        unblocked vertex of the resulting redundant cell."""
-        found = None
-        for k, e in enumerate(edges):
-            if self._witness[e] is None:
-                continue
-            iota = self._iota_bit[e]
-            facet_occupied = occupied ^ self._tau_bit[e]
-            facet = (edges[:k] + edges[k + 1:], vmask | iota)
-            if self._unblocked(facet[1], facet_occupied) != iota:
-                continue
-            # not critical, so redundant unless it is itself collapsible
-            if facet[0] and self._preimage(*facet, facet_occupied) is not None:
-                continue
-            if found is not None:
-                raise MatchingError(
-                    f"matching not injective: {self.cell_of(found)} and "
-                    f"{self.cell_of(facet)} both map to {self.cell_of((edges, vmask))}")
-            found = facet
-        return found
-
     def _match(self, edges, vmask):
         """(kind, partner parts) of a cell: critical with no partner,
         collapsible with its redundant facet, or redundant with the cell
-        that replaces its lowest unblocked vertex by the parent edge."""
+        that replaces its lowest unblocked vertex by the parent edge.  A
+        1-cell goes to `match_letter`; a higher cell is collapsible when it
+        is the redundant partner of a facet that drops a tree edge e and
+        puts back iota(e)."""
+        if len(edges) == 1:
+            return self.match_letter((edges[0] << self._shift) | vmask)
         occupied = self._occupied(edges, vmask)
         low = self._unblocked(vmask, occupied)
         if not low and not self._respected(edges, vmask):
             return CRITICAL, None
-        preimage = self._preimage(edges, vmask, occupied)
-        if preimage is not None:
-            return COLLAPSIBLE, preimage
+        found = None
+        for k, e in enumerate(edges):
+            facet = (edges[:k] + edges[k + 1:], vmask | self._iota_bit[e])
+            if self._witness[e] is not None and self._match(*facet) == (REDUNDANT, (edges, vmask)):
+                if found is not None:
+                    raise MatchingError(
+                        f"matching not injective: {self.cell_of(found)} and "
+                        f"{self.cell_of(facet)} both map to {self.cell_of((edges, vmask))}")
+                found = facet
+        if found is not None:
+            return COLLAPSIBLE, found
         if not low:
             raise MatchingError(
                 f"{len(edges)}-cell {self.cell_of((edges, vmask))} is neither "
@@ -314,6 +306,13 @@ class CubeComplex:
         a, b = (small << self._shift) | vmask, (big << self._shift) | vmask
         return (a | self._tau_bit[big], ~(b | self._tau_bit[small]),
                 ~(a | self._iota_bit[big]), b | self._iota_bit[small])
+
+    def square_rest(self, code: int, parts) -> tuple[int, int, int]:
+        """The letters equal to the redundant 1-cell `code` across its
+        matched square `parts`: `square` puts the cell 3rd and inverted when
+        its edge is the smaller one, else 4th and positive."""
+        a, b, c, d = self.square(parts)
+        return (d, a, b) if code >> self._shift == parts[0][0] else (~c, ~b, ~a)
 
     # -- the rule on cells ---------------------------------------------------
 

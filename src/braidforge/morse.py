@@ -10,9 +10,9 @@ critical 1-cells numbered in canonical order.  Every 1-cell's image is
 computed once per complex and kept in the complex's `flow_cache`, keyed by
 code, the one memo on the rewrite path, so every relator, loop image and
 stability lift shares it; a cell is classified only when it first enters
-that memo.  A redundant cell's square is read at the two positions where
-`CubeComplex.square` puts such a cell, and scanned only when it is found at
-neither.  Cells are decoded only for the trace, the output and errors.
+that memo.  A redundant cell's image is that of the rest of its square,
+which `CubeComplex.square_rest` gives.  Cells are decoded only for the
+trace, the output and errors.
 """
 
 from __future__ import annotations
@@ -45,21 +45,6 @@ def index_word_to_cells(word, generators: list[Cell]) -> CellWord:
     return tuple((generators[abs(x) - 1], 1 if x > 0 else -1) for x in word)
 
 
-def _square_rest(cx: CubeComplex, code: int, tau) -> tuple[int, ...]:
-    """The letters equal to the 1-cell `code` across its matched square tau."""
-    boundary = cx.square(tau)
-    k = boundary.count(code) + boundary.count(~code)
-    if k != 1:
-        raise MatchingError(
-            f"{cx.decode(code)} occurs {k} times in the boundary of its "
-            f"matched 2-cell {cx.cell_of(tau)}")
-    positive = code in boundary
-    i = boundary.index(code if positive else ~code)
-    rest = boundary[i + 1:] + boundary[:i]
-    # sigma^eps * rest is null-homotopic, so sigma = rest^(-eps)
-    return tuple([~x for x in rest[::-1]]) if positive else rest
-
-
 def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> RewriteTrace:
     """Reduce `word` to the invariant word over critical 1-cells.  The trace
     holds the move applied to each input letter and each free cancellation
@@ -86,7 +71,7 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
     stack = [[None, True, iter(letters), images]]
     open_codes: set[int] = set()
     expansions = 0
-    square = cx.square
+    square_rest = cx.square_rest
     while stack:
         frame = stack[-1]
         out = frame[3]
@@ -106,16 +91,7 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
                             f"rewriting exceeded the bound of {max_steps} flow "
                             "expansions (raise --max-steps only if you are sure)")
                     open_codes.add(code)
-                    # `square` puts a redundant cell 4th and positive or 3rd
-                    # and inverted; any other square is scanned
-                    boundary, rest = square(tau), None
-                    if len(boundary) == 4 and boundary.count(code) + boundary.count(~code) == 1:
-                        a, b, c, d = boundary
-                        if d == code:
-                            rest = (~c, ~b, ~a)
-                        elif c == ~code:
-                            rest = (d, a, b)
-                    stack.append([code, x >= 0, iter(rest or _square_rest(cx, code, tau)), []])
+                    stack.append([code, x >= 0, iter(square_rest(code, tau)), []])
                     break
                 if kind == CRITICAL and code not in index:
                     raise MatchingError(f"critical cell {cx.decode(code)} is not "

@@ -76,18 +76,18 @@ def cell_word_to_indices(word, generators) -> tuple[int, ...]:
 
 
 def inject_flow_cycle(monkeypatch, cx) -> tuple[Cell, Cell]:
-    """Break the matching of complexes over `cx`'s graph: the square of a
-    redundant cell b, met while expanding a redundant letter a of the first
-    critical square, now reads b a, so the flow returns to a.  The flow reads
-    a square as four letter codes, so the codes are patched.  Returns a, b."""
+    """Break the matching of complexes over `cx`'s graph: the rest of the
+    square of a redundant cell b, met while expanding a redundant letter a of
+    the first critical square, now reads a^-1, so the flow returns to a.  The
+    flow reads a rest as letter codes, so the codes are patched.  Returns
+    a, b."""
     redundant = lambda word: [c for c, _ in word if cx.classify(c).kind == "redundant"]
     a = redundant(cx.boundary_word(cx.critical_cells(2)[0]))[0]
     b = next(c for c in redundant(cx.boundary_word(cx.classify(a).partner)) if c != a)
-    square_b = cx.classify(b).partner
-    real, code_a, code_b = bf.CubeComplex.square, cx.encode(a), cx.encode(b)
-    monkeypatch.setattr(bf.CubeComplex, "square", lambda self, tau:
-                        (code_b, code_a) if self.cell_of(tau) == square_b
-                        else real(self, tau))
+    real = bf.CubeComplex.square_rest
+    monkeypatch.setattr(bf.CubeComplex, "square_rest", lambda self, code, tau:
+                        (~self.encode(a),) if self.decode(code) == b
+                        else real(self, code, tau))
     return a, b
 
 
