@@ -2,13 +2,14 @@
 
 import math
 import random
+import warnings
 from functools import lru_cache
 
 import numpy as np
 
 import braidforge as bf
 from braidforge.cells import COLLAPSIBLE, CRITICAL, REDUNDANT, Cell
-from braidforge.errors import MatchingError
+from braidforge.errors import MatchingError, ValidationError
 from braidforge.fixtures import load_fixture
 from braidforge.presentation import abelianization_rows, smith_normal_form
 
@@ -150,6 +151,28 @@ def reference_square_rest(cx, code: int, tau) -> tuple[int, ...]:
     return tuple([~x for x in rest[::-1]]) if positive else rest
 
 
+def reference_cell_size(og, cell) -> int:
+    """`critical_cell_size` by the earlier branch walk: climb each vertex of
+    the 1-cell to the child of tau(e) it lies behind, if any, and count it
+    when that branch's index at tau is positive.  At a junction branch 0
+    points to the root and the rest count clockwise from 1; at the root the
+    single branch is 0."""
+    (e,) = cell.edges
+    tau = e[0]
+    count = 0
+    for v in cell.vertices:
+        w = v
+        while w != og.root and og.parent[w] != tau:
+            w = og.parent[w]
+        if w == og.root:
+            continue
+        kids = og.children[tau]
+        branch = kids.index(w) if tau == 1 else kids.index(w) + 1
+        if branch >= 1:
+            count += 1
+    return count
+
+
 def cw(cells: dict, *letters) -> tuple:
     """Cell word from ('a1', +1)-style pairs using a theta cell table."""
     return tuple((cells[k], s) for k, s in letters)
@@ -202,6 +225,23 @@ def random_multigraph(rng: random.Random) -> dict:
         nbrs = {v: [b if a == v else a for a, b in edges if v in (a, b)] for v in ids}
         data["rotation"] = {str(v): rng.sample(ws, len(ws)) for v, ws in nbrs.items()}
     return data
+
+
+def random_multigraph_complexes(seed):
+    """The complexes of the seeded random multigraph of the subdivision
+    digest at two, three and four particles, leaving out those with more
+    than 400 squares."""
+    data = random_multigraph(random.Random(seed))
+    for n in (2, 3, 4):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                og = bf.ordered(bf.subdivide_for(bf.parse_graph(data), n))
+        except ValidationError:
+            continue            # e.g. a loop at the root: no subdivision serves
+        cx = bf.CubeComplex(og, n)
+        if len(cx.cells(2)) <= 400:
+            yield cx
 
 
 def complete_graph(n: int) -> bf.Graph:

@@ -142,7 +142,8 @@ def test_critical_cells_equal_filtered_cells_in_every_dimension():
 def test_single_edge_has_no_higher_cells():
     g = bf.parse_graph({"vertices": [1, 2], "edges": [[1, 2]],
                         "tree_edges": [[1, 2]], "root": 1})
-    cx = bf.CubeComplex(bf.ordered(g), 2)
+    with pytest.warns(UserWarning, match="no rotation given"):
+        cx = bf.CubeComplex(bf.ordered(g), 2)
     assert cx.cells(1) == [] and cx.cells(2) == []
     assert cx.cells(0) == [Cell((), (1, 2))]
 
@@ -153,13 +154,25 @@ def test_enumeration_refuses_insufficient_subdivision():
 
 
 def test_cells_complete_and_duplicate_free():
-    cx = complex_for("theta", 2)
-    one = cx.cells(1)
-    assert len(one) == len(set(one))
-    # every edge with a disjoint vertex: 12 edges x 9 free vertices
-    assert len(one) == 12 * 9
-    assert all(cx.is_valid_cell(c) for c in one)
-    assert one == sorted(one, key=Cell.sort_key)
+    cases = [complex_for("theta", 2)]
+    for g, n in ((graph("theta"), 3), (graph("y"), 3), (graph("lasso"), 3), (graph("path"), 2),
+                 (complete_graph(4), 3), (complete_bipartite_33(), 2)):
+        cases.append(bf.CubeComplex(bf.ordered(bf.subdivide_for(g, n)), n))
+    for cx in cases:
+        for d in (0, 1, 2):
+            cells = cx.cells(d)
+            assert cells and len(cells) == len(set(cells)), d
+            assert all(cx.is_valid_cell(c) for c in cells), d
+            # generated in canonical order, with no sort
+            assert cells == sorted(cells, key=Cell.sort_key), d
+        # complete: every edge with each n - 1 of the other vertices
+        edges, vertices, n = len(cx.og.edges), cx.og.n, cx.n
+        assert len(cx.cells(1)) == edges * math.comb(vertices - 2, n - 1)
+        for d in range(n + 1):
+            crit = cx.critical_cells(d)
+            assert crit == sorted(crit, key=Cell.sort_key), d
+    # theta at n = 2: 12 edges x 9 free vertices
+    assert len(cases[0].cells(1)) == 12 * 9
 
 
 def test_classify_marks_golden_cells_critical():

@@ -349,7 +349,8 @@ def test_t1_violation_witness():
             "tree_edges": [[1, 2], [2, 3], [3, 4], [5, 6], [6, 7], [7, 8],
                            [1, 8], [5, 9], [9, 10], [10, 11]],
             "root": 4}
-    rep = check_tree_conditions(bf.ordered(bf.parse_graph(data)))
+    with pytest.warns(UserWarning, match="no rotation given"):
+        rep = check_tree_conditions(bf.ordered(bf.parse_graph(data)))
     assert not rep.t1
     assert len(rep.t1_witnesses) == 1
     tau, iota = rep.t1_witnesses[0]

@@ -2,7 +2,6 @@ import functools
 import hashlib
 import itertools
 import json
-import random
 import re
 import sys
 import warnings
@@ -21,7 +20,7 @@ from braidforge import words as W
 
 from helpers import (cell_word_to_indices, complete_bipartite_33, complete_graph,
                      complex_for, cw, edge_crossings, exponent_sums, graph, morse, og,
-                     random_multigraph, reference_match, reference_square_rest,
+                     random_multigraph_complexes, reference_match, reference_square_rest,
                      theta_cells, theta_loop_specs)
 
 
@@ -178,27 +177,10 @@ def test_flow_matches_rescanning_reference():
         _assert_flow_matches_reference(cx)
 
 
-def _random_multigraph_complexes(seed):
-    """The complexes of the seeded random multigraph of the subdivision
-    digest at two, three and four particles, leaving out those with more
-    than 400 squares."""
-    data = random_multigraph(random.Random(seed))
-    for n in (2, 3, 4):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                og = bf.ordered(bf.subdivide_for(bf.parse_graph(data), n))
-        except ValidationError:
-            continue            # e.g. a loop at the root: no subdivision serves
-        cx = bf.CubeComplex(og, n)
-        if len(cx.cells(2)) <= 400:
-            yield cx
-
-
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_flow_matches_rescanning_reference_on_random_multigraphs(seed):
-    for cx in _random_multigraph_complexes(seed):
+    for cx in random_multigraph_complexes(seed):
         _assert_flow_matches_reference(cx)
 
 
@@ -226,7 +208,7 @@ def test_one_cell_reads_match_general_ones():
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_one_cell_reads_match_general_ones_on_random_multigraphs(seed):
-    for cx in _random_multigraph_complexes(seed):
+    for cx in random_multigraph_complexes(seed):
         _assert_one_cell_reads_match_general_ones(cx)
 
 

@@ -2,13 +2,16 @@ import warnings
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidforge as bf
 from braidforge.errors import ValidationError
 from braidforge.stability import critical_cell_size, plus_cell, plus_word
 
 from helpers import (E59, cell, complete_bipartite_33, complete_graph,
-                     complex_for, morse, og, theta_cells)
+                     complex_for, graph, morse, og, random_multigraph_complexes,
+                     reference_cell_size, theta_cells)
 
 
 def test_plus_cell_examples():
@@ -51,6 +54,33 @@ def test_critical_cell_sizes():
                 "s3": 3, "s4": 3, "s5": 3}
     for key, size in expected.items():
         assert critical_cell_size(o, c[key]) == size, key
+
+
+def _assert_sizes_match_branch_walk(cx) -> int:
+    """`critical_cell_size` agrees with the branch walk of the reference on
+    every critical 1-cell; returns the number of cells compared."""
+    gens = cx.critical_cells(1)
+    for c in gens:
+        assert critical_cell_size(cx.og, c) == reference_cell_size(cx.og, c), c
+    return len(gens)
+
+
+def test_critical_cell_size_matches_branch_walk():
+    graphs = [(graph(name), range(1, 6)) for name in ("theta", "y", "lasso", "path")]
+    graphs += [(complete_graph(k), range(2, 5)) for k in (4, 5)]
+    compared = 0
+    for g, ns in graphs:
+        for n in ns:
+            o = bf.ordered(bf.subdivide_for(g, n))
+            compared += _assert_sizes_match_branch_walk(bf.CubeComplex(o, n))
+    assert compared == 198
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_critical_cell_size_matches_branch_walk_on_random_multigraphs(seed):
+    for cx in random_multigraph_complexes(seed):
+        _assert_sizes_match_branch_walk(cx)
 
 
 def test_stability_report_theta():
