@@ -25,7 +25,9 @@ square from `square_rest`.
 
 `critical_cells` generates the critical cells directly from that rule, in
 any dimension up to N.  The full enumeration `cells` remains only for the
-`cells` command, the 1-skeleton oracle and `validate_matching`.
+`cells` command, the 1-skeleton oracle and `validate_matching`.  Both yield
+canonical order as they generate, with no sort: `_matchings`, `combinations`
+and `_blocked_vertex_sets` each yield in lexicographic order.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ class CubeComplex:
         self._iota_bit = [1 << i for _, i in og.edges]
         self._ends = [(1 << t) | (1 << i) for t, i in og.edges]
         # tree edge (tau, iota) -> mask of the children v of tau with
-        # tau < v < iota; None for a deleted edge
-        self._witness = [sum(1 << v for v in og.children[t] if t < v < i)
+        # v < iota (a child's label exceeds tau's); None for a deleted edge
+        self._witness = [sum(1 << v for v in og.children[t] if v < i)
                          if (t, i) in og.tree else None for t, i in og.edges]
         # 1-cell code -> its flow image as signed generator indices
         # (morse.rewrite_word)
@@ -358,7 +360,6 @@ class CubeComplex:
             es = tuple(edges[e] for e in es)
             for vs in combinations(free, self.n - dim):
                 out.append(_cell(es, vs))
-        out.sort(key=Cell.sort_key)
         return out
 
     def _blocked_vertex_sets(self, used: int, k: int):
@@ -395,7 +396,6 @@ class CubeComplex:
             for vmask in self._blocked_vertex_sets(used, self.n - dim):
                 if not self._respected(es, vmask):
                     out.append(self.cell_of((es, vmask)))
-        out.sort(key=Cell.sort_key)
         return out
 
     # -- boundary ------------------------------------------------------------

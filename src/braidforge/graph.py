@@ -432,14 +432,6 @@ class OrderedGraph:
     def parent_edge(self, v: int) -> Edge:
         return (self.parent[v], v)
 
-    def branch_index(self, junction: int, child: int) -> int:
-        """Index of the branch through `child` at `junction`: 0 points to the
-        root, the rest count clockwise.  At the root the single branch is 0."""
-        kids = self.children[junction]
-        if junction == 1:
-            return kids.index(child)
-        return kids.index(child) + 1
-
     def is_two_connected(self) -> bool:
         """At least three vertices, connected and without a cut vertex, found
         by one depth-first walk with low-links (Hopcroft & Tarjan, CACM 1973)
@@ -476,7 +468,11 @@ def ordered(g: Graph) -> OrderedGraph:
     """Number vertices 1..|V| from the root along the tree, depth first.  At
     a junction the branch toward the root is branch 0 and the remaining
     branches are taken clockwise (rotation order) from it; lower branches are
-    numbered first.  Edges become (tau, iota) in label space, tau < iota."""
+    numbered first.  Edges become (tau, iota) in label space, tau < iota.
+    The package reads these guarantees and does not re-derive them: a
+    parent's label is smaller than its children's, each subtree takes
+    consecutive labels, and the root, label 1, has one tree child, since
+    `parse_graph` and `subdivide_for` keep the root a leaf of the tree."""
     if not g.is_simple():
         raise GraphFormatError("ordering requires a simple graph; subdivide first")
     rotation = g.rotation
@@ -551,21 +547,18 @@ def check_tree_conditions(og: OrderedGraph) -> TreeConditionReport:
     degree = Counter(v for e in og.edges for v in e)
     t1_wit = [e for e in og.deleted if degree[e[1]] != 2]
 
-    def ancestors(v: int) -> set[int]:
-        out = {v}
-        while v != 1:
-            v = og.parent[v]
-            out.add(v)
-        return out
-
     t2_wit = []
     for e in og.deleted:
         tau, iota = e
-        # interior vertices of the tree path tau..iota separate the edge; it
-        # turns at the deepest common ancestor, whose label is the largest
-        up_tau, up_iota = ancestors(tau), ancestors(iota)
-        interior = (up_tau ^ up_iota) | {max(up_tau & up_iota)}
-        for v in sorted(interior - {tau, iota}):
-            if v < tau:
-                t2_wit.append((e, v))
+        # the tree path tau..iota turns at the common ancestor, met by climbing
+        # the larger label.  The path's vertices below tau are the ancestors
+        # of tau up to the turn; iota's side lies in a later subtree
+        a, b, up = tau, iota, []
+        while a != b:
+            if a < b:
+                b = og.parent[b]
+            else:
+                a = og.parent[a]
+                up.append(a)
+        t2_wit.extend((e, v) for v in reversed(up))
     return TreeConditionReport(not t1_wit, t1_wit, not t2_wit, t2_wit)

@@ -172,7 +172,7 @@ def _suggest_loops(cx: CubeComplex, cell: Cell) -> list[YLoopSpec]:
         return []
     out = []
     for m in cell.vertices:
-        if og.parent.get(m) == l and k < l < m < n_v:
+        if og.parent.get(m) == l and m < n_v:
             spect = tuple(v for v in cell.vertices if v != m)
             out.append(YLoopSpec(k, m, n_v, spect))
     return out

@@ -28,6 +28,7 @@ def skeleton_presentation(cx: CubeComplex) -> SkeletonPresentation:
     one = cx.cells(1)
     two = cx.cells(2)
 
+    # built from the 1-cells in canonical order, so each list is in it too
     adjacency: dict[frozenset, list[tuple[frozenset, Cell]]] = {
         frozenset(c.vertices): [] for c in zero}
     for c in one:
@@ -41,7 +42,7 @@ def skeleton_presentation(cx: CubeComplex) -> SkeletonPresentation:
     queue = deque([base])
     while queue:
         u = queue.popleft()
-        for v, cell in sorted(adjacency[u], key=lambda t: t[1].sort_key()):
+        for v, cell in adjacency[u]:
             if v not in seen:
                 seen.add(v)
                 tree_cells.add(cell)

@@ -37,24 +37,19 @@ def plus_word(cx_next: CubeComplex, word: CellWord) -> CellWord:
 
 
 def critical_cell_size(og: OrderedGraph, cell: Cell) -> int:
-    """Number of cell vertices stacked behind tau(e) on branches of positive
-    index; drives the elimination preference."""
+    """Number of the cell's vertices in the subtree below tau(e), 0 when tau
+    is the root; drives the elimination preference.  A parent's label is
+    smaller, so a vertex below tau climbs to tau before any smaller label."""
     (e,) = cell.edges
     tau = e[0]
+    if tau == og.root:
+        return 0
     count = 0
     for v in cell.vertices:
-        w = v
-        while w != og.root and og.parent[w] != tau:
-            w = og.parent[w]
-        if w == og.root:
-            continue
-        if og.branch_index(tau, w) >= 1:
-            count += 1
+        while v > tau:
+            v = og.parent[v]
+        count += v == tau
     return count
-
-
-def generator_sizes(og: OrderedGraph, mp: MorsePresentation) -> dict[str, int]:
-    return {str(c): critical_cell_size(og, c) for c in mp.generators}
 
 
 def minimize_morse(og: OrderedGraph, mp: MorsePresentation):
@@ -62,7 +57,8 @@ def minimize_morse(og: OrderedGraph, mp: MorsePresentation):
     fp = from_morse(mp)
     h1 = homology_h1(fp)
     target = h1.free_rank + len(h1.torsion)
-    return tietze_minimize(fp, target=target, sizes=generator_sizes(og, mp)), h1
+    sizes = {str(c): critical_cell_size(og, c) for c in mp.generators}
+    return tietze_minimize(fp, target=target, sizes=sizes), h1
 
 
 @dataclass
@@ -103,20 +99,21 @@ def stability_report(og: OrderedGraph, n_lo: int, n_hi: int) -> StabilityReport:
         lifting_ok = None
         if mp_prev is not None:
             lifting_ok = True
-            relator_of = {tau: mp.index_word_to_cells(w) for w, tau in mp.relators}
+            lifts = [plus_cell(cx, c) for c in mp_prev.generators]
+            # a generator index one level down -> the index of its lift
+            lift = [0] + [cx.generator_index[cx.encode(c)] for c in lifts]
+            relator_of = {tau: w for w, tau in mp.relators}
             lifted_relators = set()
             for word, tau in mp_prev.relators:
                 tau_plus = plus_cell(cx, tau)
-                lifted = plus_word(cx, mp_prev.index_word_to_cells(word))
+                lifted = tuple(lift[x] if x > 0 else -lift[-x] for x in word)
                 if relator_of[tau_plus] != lifted:
                     raise MatchingError(
                         f"boundary word of {tau_plus} does not equal the lift "
                         f"of the boundary word of {tau}")
                 lifted_relators.add(lifted)
-            pairs = []
-            for c in mp_prev.generators:
-                pairs.append((str(c), str(plus_cell(cx, c))))
-            report.generator_correspondence[n] = pairs
+            report.generator_correspondence[n] = [
+                (str(c), str(d)) for c, d in zip(mp_prev.generators, lifts)]
             new_count = len(set(relator_of.values()) - lifted_relators)
         report.rows.append(StabilityRow(
             n=n, generators=len(mp.generators), relators=len(mp.relators),
