@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -447,6 +448,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.inputs = {}
+    # a warning prints as one line, for this call only
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"braidforge: warning: {message}\n"
     try:
         if getattr(args, "particles", 1) < 1:
             raise ValidationError(f"-n/--particles must be at least 1, got {args.particles}")
@@ -477,6 +481,8 @@ def main(argv=None) -> int:
         print(f"braidforge: computation failed: out of memory in {args.command}{size}",
               file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 import argparse
+import contextlib
 import copy
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -121,6 +123,34 @@ def test_subdivide_triangle_for_1100_particles(tmp_path, capsys):
         assert main(["subdivide", str(raw), "-n", "1100"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert (len(data["vertices"]), len(data["edges"])) == (1101, 1101)
+
+
+@pytest.mark.parametrize("command, warning, stdout", [
+    # a triangle with no rotation
+    (["h1", "{triangle}", "-n", "1"],
+     "no rotation given; defaulting to ascending neighbor ids (results depend on the embedding)",
+     "Z\n"),
+    # the lasso has a cut vertex
+    (["stabilize", LASSO, "--from", "1", "--to", "2"],
+     "graph is not 2-connected; generator counts need not stabilize",
+     "  N  #gen  #rel  #new  lift  #min  H1\n"
+     "  1     1     0     -     -     1  Z\n"
+     "  2     2     0     0    ok     2  Z^2\n"),
+])
+def test_warning_prints_as_one_line(tmp_path, command, warning, stdout):
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3], [1, 3]],
+                                    "tree_edges": [[1, 2], [2, 3]], "root": 1}))
+    argv = [arg.format(triangle=triangle) for arg in command]
+    r = run_cli(*argv)
+    assert (r.returncode, r.stdout) == (0, stdout)
+    assert r.stderr == f"braidforge: warning: {warning}\n"
+    # in process the format is set for the call only, and the warning is an
+    # ordinary one
+    format_warning = warnings.formatwarning
+    with pytest.warns(UserWarning, match=re.escape(warning)):
+        assert main(argv) == 0
+    assert warnings.formatwarning is format_warning
 
 
 def test_cells_listing():
@@ -404,7 +434,10 @@ def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
             "rep-solve": ["rep-solve", str(bad), "-k", "2"],
             "subdivide": ["subdivide", str(bad), "-n", "3"],
             "stabilize": ["stabilize", str(bad), "--from", "2", "--to", "3"]}[command]
-    assert main(argv) == 2
+    # the stabilize case's graph has no rotation, and ordering it says so
+    with (pytest.warns(UserWarning, match="no rotation given") if command == "stabilize"
+          else contextlib.nullcontext()):
+        assert main(argv) == 2
     assert culprit in capsys.readouterr().err
 
 
