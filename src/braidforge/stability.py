@@ -48,7 +48,8 @@ def critical_cell_size(og: OrderedGraph, cell: Cell) -> int:
     for v in cell.vertices:
         while v > tau:
             v = og.parent[v]
-        count += v == tau
+        if v == tau:
+            count += 1
     return count
 
 
