@@ -87,12 +87,6 @@ class MorseClass:
     partner: Cell | None = None
 
 
-def word_str(word: CellWord) -> str:
-    if not word:
-        return "(empty)"
-    return " ".join(str(c) + ("" if s > 0 else "^-1") for c, s in word)
-
-
 def letter_endpoints(letter: Letter) -> tuple[Config, Config]:
     """(start, end) configurations of a signed 1-cell."""
     cell, sign = letter
@@ -113,11 +107,10 @@ class CubeComplex:
     matching, boundary words and the falling path to the base configuration.
     """
 
-    def __init__(self, og: OrderedGraph, n: int, check: bool = True):
+    def __init__(self, og: OrderedGraph, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if check:
-            check_subdivision(og.source, n).require()
+        check_subdivision(og.source, n).require()
         self.og = og
         self.n = n
         labels = range(1, og.n + 1)

@@ -26,8 +26,7 @@ from .cells import Cell, CellWord, CubeComplex, letter_endpoints
 from .errors import PhysicalSolveError, ValidationError
 from .graph import OrderedGraph
 from .morse import DEFAULT_MAX_STEPS, MorsePresentation, rewrite_word
-from .presentation import (FPGroup, TietzeResult, _named, abelianization_rows,
-                           from_morse, in_row_lattice, named_word_to_indices)
+from .presentation import FPGroup, TietzeResult, _named, abelianization_rows, in_row_lattice
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,6 @@ def loop_image(cx: CubeComplex, word: CellWord,
 
 @dataclass
 class LoopGenerator:
-    spec: LoopSpec
     name: str
     kind: str                      # "Y" or "O"
     image: tuple[tuple[str, int], ...]   # over critical-cell names
@@ -206,8 +204,8 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
             raise ValidationError(f"{spec.name}: spectators {strays} are not vertices")
         word = loop_word(og, spec)
         img = loop_image(cx, word, max_steps=max_steps)
-        loop_gens.append(LoopGenerator(spec, spec.name,
-                                       kind, tuple((str(c), s) for c, s in img)))
+        loop_gens.append(LoopGenerator(spec.name, kind,
+                                       tuple((str(c), s) for c, s in img)))
     names = [lg.name for lg in loop_gens]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate loop specs")
@@ -304,14 +302,13 @@ def _validate_consequences(mp: MorsePresentation, pp: PhysicalPresentation):
     presentation is relator-free, abelianized membership otherwise.  One
     lattice comparison checks every relator; only when it fails is each
     checked in turn, to name the first that is not a consequence."""
-    morse_fp = from_morse(mp)
-    images = [named_word_to_indices(lg.image, morse_fp.generators)
-              for lg in pp.loops]
+    index = {str(c): i for i, c in enumerate(mp.generators, 1)}
+    images = [tuple(s * index[name] for name, s in lg.image) for lg in pp.loops]
 
     def image(x):
         return images[x - 1] if x > 0 else W.inverse(images[-x - 1])
 
-    if not morse_fp.relators:
+    if not mp.relators:
         for origin, rel in pp.relators:
             if W.concat(*map(image, rel)):
                 raise PhysicalSolveError(
@@ -321,16 +318,15 @@ def _validate_consequences(mp: MorsePresentation, pp: PhysicalPresentation):
     # exponent sums add up along a word, so a relator's row over the Morse
     # generators is its row over the loops times the loops' image rows: no
     # relator is expanded or freely reduced
-    image_rows = abelianization_rows(FPGroup(morse_fp.generators, tuple(images)))
+    image_rows = abelianization_rows(images)
     vectors = []
-    for loop_row in abelianization_rows(
-            FPGroup(pp.group.generators, tuple(rel for _, rel in pp.relators))):
+    for loop_row in abelianization_rows(rel for _, rel in pp.relators):
         sums = Counter()
         for i, c in loop_row.items():
             for j, s in image_rows[i].items():
                 sums[j] += c * s
         vectors.append({j: s for j, s in sums.items() if s})
-    rows = abelianization_rows(morse_fp)
+    rows = abelianization_rows(w for w, _ in mp.relators)
     if in_row_lattice(rows, vectors):
         return
     for (origin, _), vector in zip(pp.relators, vectors):

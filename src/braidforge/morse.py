@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import words as W
-from .cells import COLLAPSIBLE, CRITICAL, REDUNDANT, Cell, CellWord, CubeComplex, word_str
+from .cells import COLLAPSIBLE, CRITICAL, REDUNDANT, Cell, CellWord, CubeComplex
 from .errors import MatchingError, RewriteLimitError, ValidationError
+from .presentation import from_morse
 
 DEFAULT_MAX_STEPS = 10**6
 
@@ -126,9 +127,7 @@ class MorsePresentation:
     relators: list[tuple[tuple[int, ...], Cell]]  # (signed index word, source 2-cell)
 
     def __str__(self) -> str:
-        gens = ", ".join(map(str, self.generators))
-        rels = ", ".join(word_str(self.index_word_to_cells(w)) for w, _ in self.relators)
-        return f"⟨{gens} | {rels}⟩"
+        return str(from_morse(self))
 
     def index_word_to_cells(self, word) -> CellWord:
         return index_word_to_cells(word, self.generators)

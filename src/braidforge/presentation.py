@@ -126,20 +126,15 @@ def tietze_minimize(p: FPGroup, target: int | None = None,
     return TietzeResult(group, log, target, reached)
 
 
-def named_word_to_indices(word, generators) -> tuple[int, ...]:
-    index = {g: i + 1 for i, g in enumerate(generators)}
-    return tuple(s * index[name] for name, s in word)
-
-
 # ---------------------------------------------------------------------------
 # abelianization and Smith normal form
 
 
-def abelianization_rows(p: FPGroup) -> list[dict[int, int]]:
-    """Relators as sparse rows {generator column: exponent sum}; zero sums
-    are dropped."""
+def abelianization_rows(relators) -> list[dict[int, int]]:
+    """Relator words as sparse rows {generator column: exponent sum}; zero
+    sums are dropped."""
     out = []
-    for rel in p.relators:
+    for rel in relators:
         sums = Counter()
         for x in rel:
             sums[abs(x) - 1] += 1 if x > 0 else -1
@@ -150,7 +145,6 @@ def abelianization_rows(p: FPGroup) -> list[dict[int, int]]:
 @dataclass
 class SNF:
     diagonal: tuple[int, ...]     # nonzero invariant factors d1 | d2 | ...
-    rank: int
 
 
 def smith_normal_form(matrix) -> SNF:
@@ -225,7 +219,7 @@ def smith_normal_form(matrix) -> SNF:
                 continue
             add_row(r, bad, 1)
         heapq.heappush(heap, key(r, c))
-    return SNF(tuple(pivots), len(pivots))
+    return SNF(tuple(pivots))
 
 
 def in_row_lattice(rows, vectors) -> bool:
@@ -267,9 +261,9 @@ class HomologyClass:
 
 def homology_h1(p: FPGroup, warn_unexpected_torsion: bool = False) -> HomologyClass:
     """Cokernel of the abelianization matrix as free rank plus torsion."""
-    snf = smith_normal_form(abelianization_rows(p))
+    snf = smith_normal_form(abelianization_rows(p.relators))
     torsion = tuple(d for d in snf.diagonal if d > 1)
     if warn_unexpected_torsion and any(d != 2 for d in torsion):
         warnings.warn(f"unexpected torsion factors {torsion}; graph pipelines "
                       "should only produce Z_2 torsion", stacklevel=2)
-    return HomologyClass(len(p.generators) - snf.rank, torsion)
+    return HomologyClass(len(p.generators) - len(snf.diagonal), torsion)

@@ -21,7 +21,9 @@ from .words import free_reduce
 
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-6      # eigenvalues this close form one cluster
-STEP_DECAY = 0.002         # solver step at iteration it: step / (1 + STEP_DECAY * it)
+STEP = 0.2                 # solver step at iteration it: STEP / (1 + STEP_DECAY * it)
+STEP_DECAY = 0.002
+ITERATIONS = 2000          # a restart that has not converged stops here
 
 
 @dataclass
@@ -186,8 +188,6 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
 @dataclass
 class SolveOptions:
     restarts: int = 20
-    iterations: int = 2000
-    step: float = 0.2
     tol: float = 1e-8
 
 
@@ -195,7 +195,6 @@ class SolveOptions:
 class SolveOutcome:
     assignment: UnitaryAssignment
     report: ResidualReport
-    seed: int
     restart: int
     restart_seeds: list[int] = field(default_factory=list)
     restart_residuals: list[float] = field(default_factory=list)
@@ -208,10 +207,10 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
 
     Restart i starts from Haar-random matrices drawn with seed + i.  All
     restarts descend together, stacked on one axis and sharing the step
-    schedule step / (1 + STEP_DECAY * it); a restart leaves the stack at the
+    schedule STEP / (1 + STEP_DECAY * it); a restart leaves the stack at the
     iteration where its loss falls below (tol / 10)^2, or stays to the
-    iteration cap.  The best final loss wins, ties going to the lower restart
-    index."""
+    iteration cap ITERATIONS.  The best final loss wins, ties going to the
+    lower restart index."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     opts = opts or SolveOptions()
@@ -219,12 +218,8 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
         raise ValidationError(f"seed must be at least 0, got {seed}")
     if opts.restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {opts.restarts}")
-    if opts.iterations < 0:
-        raise ValidationError(f"iterations must be at least 0, got {opts.iterations}")
     if not (math.isfinite(opts.tol) and opts.tol > 0):
         raise ValidationError(f"tol must be a finite positive number, got {opts.tol}")
-    if not (math.isfinite(opts.step) and opts.step > 0):
-        raise ValidationError(f"step must be a finite positive number, got {opts.step}")
     restart_seeds = [seed + i for i in range(opts.restarts)]
     rngs = [np.random.default_rng(s) for s in restart_seeds]
     mats = np.array([[haar_unitary(k, rng) for rng in rngs] for _ in p.generators],
@@ -240,11 +235,11 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
     residuals = [0.0] * opts.restarts
     iterations = [0] * opts.restarts
     live = list(range(opts.restarts))
-    for it in range(opts.iterations + 1):
+    for it in range(ITERATIONS + 1):
         losses, grads = _loss_and_grads(p.relators, mats, k)
         stay = []
         for j, r in enumerate(live):
-            if losses[j] < done or it == opts.iterations:
+            if losses[j] < done or it == ITERATIONS:
                 final[:, r], residuals[r], iterations[r] = mats[:, j], losses[j], it
             else:
                 stay.append(j)
@@ -253,7 +248,7 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
         if len(stay) < len(live):
             live = [live[j] for j in stay]
             mats, grads = mats[:, stay], grads[:, stay]
-        eta = opts.step / (1.0 + STEP_DECAY * it)
+        eta = STEP / (1.0 + STEP_DECAY * it)
         mats = polar_retract(mats - eta * grads)
     best = min(range(opts.restarts), key=lambda r: (residuals[r], r))
 
@@ -265,7 +260,7 @@ def solve_representation(p: FPGroup, k: int, seed: int = 0,
             f"no representation found at tolerance {opts.tol} after "
             f"{opts.restarts} restarts (best residual {report.max_deviation:.3e}); "
             "this is not a nonexistence proof")
-    return SolveOutcome(assignment, report, seed, best, restart_seeds,
+    return SolveOutcome(assignment, report, best, restart_seeds,
                         residuals, iterations)
 
 
@@ -365,8 +360,7 @@ class ComponentLabel:
         return f"M_P{perm}^({self.degeneracy})"
 
 
-def classify_theta_component(p: FPGroup, assignment: UnitaryAssignment,
-                             tol: float = 1e-8) -> ComponentLabel:
+def classify_theta_component(p: FPGroup, assignment: UnitaryAssignment) -> ComponentLabel:
     """Connected-component label for a verified point of a single-relator,
     commutator-shaped presentation.
 
@@ -378,7 +372,7 @@ def classify_theta_component(p: FPGroup, assignment: UnitaryAssignment,
     DEGENERACY_TOL) gives the block variant."""
     if len(p.relators) != 1:
         raise ValidationError("component classification needs exactly one relator")
-    report = verify_representation(p, assignment, tol)
+    report = verify_representation(p, assignment)
     if not report.passed:
         raise ValidationError(
             f"assignment fails verification (max residual {report.max_deviation:.3e})")

@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 
@@ -40,6 +41,13 @@ def morse(name: str, n: int) -> bf.MorsePresentation:
 def minimized(name: str, n: int):
     result, h1 = bf.minimize_morse(og(name), morse(name, n))
     return result
+
+
+def unchecked_complex(og: bf.OrderedGraph, n: int) -> bf.CubeComplex:
+    """A complex built without the subdivision check, which the constructor
+    otherwise always runs; for graphs too coarse for n particles."""
+    with mock.patch("braidforge.cells.check_subdivision"):
+        return bf.CubeComplex(og, n)
 
 
 def cell(edges, vertices) -> Cell:
@@ -342,7 +350,7 @@ def abelianization_matrix(p: bf.FPGroup) -> list[list[int]]:
     """Relators x generators matrix of signed occurrence counts: the rows of
     `abelianization_rows`, written out densely."""
     return [[row.get(j, 0) for j in range(len(p.generators))]
-            for row in abelianization_rows(p)]
+            for row in abelianization_rows(p.relators)]
 
 
 def reference_in_row_lattice(matrix, vector) -> bool:

@@ -16,7 +16,8 @@ from braidforge.morse import rewrite_word
 
 from helpers import (E18, E59, E111, cell, complete_bipartite_33,
                      complete_graph, complex_for, gal_euler_characteristic,
-                     graph, inject_flow_cycle, og, raw_theta, theta_cells)
+                     graph, inject_flow_cycle, og, raw_theta, theta_cells,
+                     unchecked_complex)
 
 
 def test_theta_critical_one_cells_n2():
@@ -305,7 +306,7 @@ def test_path_to_base_examples():
 def test_non_unique_critical_zero_cell_is_refused():
     # skipping the subdivision check exposes configurations that are fully
     # blocked without being the base; the complex must refuse loudly
-    cx = bf.CubeComplex(og("y"), 5, check=False)
+    cx = unchecked_complex(og("y"), 5)
     crits = cx.critical_cells(0)
     assert len(crits) > 1
     with pytest.raises(MatchingError, match="critical 0-cell"):

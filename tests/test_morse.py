@@ -21,7 +21,7 @@ from braidforge import words as W
 from helpers import (cell_word_to_indices, complete_bipartite_33, complete_graph,
                      complex_for, cw, edge_crossings, exponent_sums, graph, morse, og,
                      random_multigraph_complexes, reference_match, reference_square_rest,
-                     theta_cells, theta_loop_specs)
+                     theta_cells, theta_loop_specs, unchecked_complex)
 
 
 def test_free_cancellation_of_critical_pair():
@@ -228,7 +228,7 @@ def test_one_cell_rule_matches_general_rule_on_a_broken_matching():
 
     neither = renamed = 0
     for vertex, blocker in itertools.product(complex_for("theta", 2)._block, repeat=2):
-        cx = bf.CubeComplex(og("theta"), 2, check=False)
+        cx = unchecked_complex(og("theta"), 2)
         cx._block = {**cx._block, vertex: blocker}
         for cell in cx.cells(0) + cx.cells(1) + cx.cells(2):
             parts = cx._parts(cell)
@@ -367,7 +367,7 @@ def test_rewrite_concatenation_homomorphism():
     cx4 = complex_for("theta", 4)
     mp4 = morse("theta", 4)
     fp = from_morse(mp4)
-    rows = abelianization_rows(fp)
+    rows = abelianization_rows(fp.relators)
     taus = cx4.critical_cells(2)
     u = cx4.boundary_word(taus[0])
     v = cx4.boundary_word(taus[3])

@@ -10,7 +10,7 @@ from braidforge.presentation import (HomologyClass, abelianization_rows,
 
 from helpers import (abelianization_matrix, complete_bipartite_33, complete_graph,
                      complex_for, exponent_sums, gal_euler_characteristic, graph,
-                     reference_snf_diagonal)
+                     reference_snf_diagonal, unchecked_complex)
 
 
 def _project(sp, word) -> tuple[int, ...]:
@@ -68,7 +68,7 @@ def test_oracle_snf_matches_full_scan_reference():
     # give the full-scan routine's invariant factors
     for g, n in ((graph("theta"), 3), (graph("theta"), 4), (complete_graph(4), 3)):
         group = skeleton_presentation(_pipeline(g, n)).group
-        rows = abelianization_rows(group)
+        rows = abelianization_rows(group.relators)
         dense = abelianization_matrix(group)
         assert dense == [exponent_sums(r, len(group.generators))
                          for r in group.relators]
@@ -128,7 +128,7 @@ def test_loop_image_class_matches_in_skeleton():
     for n, specs in per_n.items():
         cx = complex_for("theta", n)
         sp = skeleton_presentation(cx)
-        rows = abelianization_rows(sp.group)
+        rows = abelianization_rows(sp.group.relators)
         for spec in specs:
             word = bf.loop_word(_og("theta"), spec)
             path = cx.path_to_base(letter_endpoints(word[0])[0])
@@ -154,7 +154,7 @@ def test_critical_cells_equal_filtered_enumeration():
                  for name in ("theta", "y", "lasso") for n in (2, 3, 4)]
     complexes += [_pipeline(complete_graph(4), 4), _pipeline(complete_graph(5), 4),
                   _pipeline(complete_graph(4), 5),
-                  bf.CubeComplex(bf.ordered(graph("y")), 5, check=False)]
+                  unchecked_complex(bf.ordered(graph("y")), 5)]
     for cx in complexes:
         _assert_critical_cells_filter_the_enumeration(cx)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import braidforge as bf
 from braidforge.errors import NoRepresentationFound, ValidationError
 from braidforge.presentation import FPGroup
-from braidforge.reps import (STEP_DECAY, ComponentLabel, SolveOptions,
+from braidforge.reps import (ITERATIONS, STEP, STEP_DECAY, ComponentLabel, SolveOptions,
                              UnitaryAssignment, _loss_and_grads, haar_unitary,
                              polar_retract, unitarity_defect)
 
@@ -279,7 +279,7 @@ def test_solver_records_every_restart():
     assert hashlib.sha256(np.array(out.restart_residuals).tobytes()).hexdigest() == \
         "9f254b5756f3ef2670ceb73c01ba2a9f27e2ed8ee7294453414a310ec2c8235d"
     for res, it in zip(out.restart_residuals, out.restart_iterations):
-        assert it == opts.iterations or res < (opts.tol * 0.1) ** 2
+        assert it == ITERATIONS or res < (opts.tol * 0.1) ** 2
 
 
 def _reference_solve(p, k, seed, opts):
@@ -311,13 +311,13 @@ def _reference_solve(p, k, seed, opts):
     for i in range(opts.restarts):
         rng = np.random.default_rng(seed + i)
         mats = [haar_unitary(k, rng) for _ in p.generators]
-        stop = opts.iterations
-        for it in range(opts.iterations):
+        stop = ITERATIONS
+        for it in range(ITERATIONS):
             loss, grads = loss_and_grads(mats)
             if loss < (opts.tol * 0.1) ** 2:
                 stop = it
                 break
-            eta = opts.step / (1.0 + STEP_DECAY * it)
+            eta = STEP / (1.0 + STEP_DECAY * it)
             mats = [polar_retract(m - eta * g) for m, g in zip(mats, grads)]
         runs.append((loss_and_grads(mats)[0], stop, mats))
     best = min(range(opts.restarts), key=lambda i: (runs[i][0], i))
@@ -333,13 +333,15 @@ def _reference_solve(p, k, seed, opts):
     (FPGroup(("a", "b"), ((1, 2, -1, -2), (1, 1, 1))), 3, 9),
 ])
 def test_solver_matches_per_restart_reference(fp, k, seed):
-    # same arithmetic per restart, so the same bits; in the theta cases some
-    # restarts leave the stack early and others run to the cap
-    opts = SolveOptions(restarts=5, iterations=150, tol=1e-3)
+    # same arithmetic per restart, so the same bits
+    opts = SolveOptions(restarts=5, tol=1e-3)
     out = bf.solve_representation(fp, k, seed=seed, opts=opts)
     best, mats, residuals, iterations = _reference_solve(fp, k, seed, opts)
     assert (out.restart, out.restart_residuals, out.restart_iterations) == \
         (best, residuals, iterations)
+    if (k, seed) == (2, 7):
+        # some restarts leave the stack early and one runs to the cap
+        assert iterations == [13, 731, ITERATIONS, 30, 14]
     for g, m in zip(fp.generators, mats):
         assert out.assignment.matrices[g].tobytes() == m.tobytes()
 
@@ -363,15 +365,10 @@ def test_solver_huge_tolerance_accepts_the_start():
     (-1, SolveOptions(), "seed"),
     (0, SolveOptions(restarts=0), "restarts"),
     (0, SolveOptions(restarts=-2), "restarts"),
-    (0, SolveOptions(iterations=-1), "iterations"),
     (0, SolveOptions(tol=-1.0), "tol"),
     (0, SolveOptions(tol=0.0), "tol"),
     (0, SolveOptions(tol=float("nan")), "tol"),
     (0, SolveOptions(tol=float("inf")), "tol"),
-    (0, SolveOptions(step=0.0), "step"),
-    (0, SolveOptions(step=-0.2), "step"),
-    (0, SolveOptions(step=float("nan")), "step"),
-    (0, SolveOptions(step=float("inf")), "step"),
 ])
 def test_solver_rejects_bad_options(seed, opts, culprit):
     with pytest.raises(ValidationError, match=culprit):
@@ -388,13 +385,12 @@ def test_solver_deterministic():
 
 
 def test_solver_reports_failure_honestly():
-    # relator a = 1 and the relator forcing a to a reflection cannot both
-    # hold; give the solver almost no iterations so it must give up
+    # a^2 = 1 has solutions, but no rounded residual reaches 1e-300, so the
+    # one restart runs to the cap and the solver must give up
     fp = FPGroup(("a",), ((1, 1),))
-    with pytest.raises(NoRepresentationFound):
-        bf.solve_representation(
-            fp, 2, seed=0,
-            opts=SolveOptions(restarts=1, iterations=1, step=1e-9, tol=1e-14))
+    with pytest.raises(NoRepresentationFound, match="not a nonexistence proof"):
+        bf.solve_representation(fp, 2, seed=0,
+                                opts=SolveOptions(restarts=1, tol=1e-300))
 
 
 # -- locally abelian ----------------------------------------------------------------
@@ -465,8 +461,8 @@ def test_locally_abelian_no_y_loops():
 def test_locally_abelian_residual_equation():
     # a relator whose O-part does not cancel is returned, not an error
     from braidforge.loops import LoopGenerator, PhysicalPresentation
-    lg_y = LoopGenerator(bf.YLoopSpec(4, 6, 9), "Y(4,6,9;)", "Y", ())
-    lg_o = LoopGenerator(bf.OLoopSpec((1, 2, 3)), "O(1-2-3;)", "O", ())
+    lg_y = LoopGenerator("Y(4,6,9;)", "Y", ())
+    lg_o = LoopGenerator("O(1-2-3;)", "O", ())
     pp = PhysicalPresentation(
         [lg_y, lg_o], [], [("test", (1, 2, 2))],
         FPGroup(("Y(4,6,9;)", "O(1-2-3;)"), ((1, 2, 2),)))
