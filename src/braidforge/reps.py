@@ -372,6 +372,8 @@ def classify_theta_component(p: FPGroup, assignment: UnitaryAssignment) -> Compo
     DEGENERACY_TOL) gives the block variant."""
     if len(p.relators) != 1:
         raise ValidationError("component classification needs exactly one relator")
+    if not p.relators[0]:
+        raise ValidationError("the relator is empty; it has no exchange generator")
     report = verify_representation(p, assignment)
     if not report.passed:
         raise ValidationError(

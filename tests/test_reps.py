@@ -511,6 +511,11 @@ def test_classify_rejects_failing_assignment():
     a = theta4_assign(np.diag([1, 1j]), hadamard, EYE2)
     with pytest.raises(ValidationError, match="fails verification"):
         bf.classify_theta_component(fp, a)
+    # a single empty relator names no exchange generator
+    for fp, a in ((FPGroup(("a",), ((),)), UnitaryAssignment(2, {"a": EYE2})),
+                  (FPGroup((), ((),)), UnitaryAssignment(2, {}))):
+        with pytest.raises(ValidationError, match="relator is empty"):
+            bf.classify_theta_component(fp, a)
 
 
 # -- serialization ------------------------------------------------------------------
