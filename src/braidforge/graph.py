@@ -471,10 +471,15 @@ def ordered(g: Graph) -> OrderedGraph:
     numbered first.  Edges become (tau, iota) in label space, tau < iota.
     The package reads these guarantees and does not re-derive them: a
     parent's label is smaller than its children's, each subtree takes
-    consecutive labels, and the root, label 1, has one tree child, since
-    `parse_graph` and `subdivide_for` keep the root a leaf of the tree."""
+    consecutive labels, and the root, label 1, has one tree child.
+    `parse_graph` and `subdivide_for` keep the root a leaf of the tree; a
+    graph built otherwise whose root is not a leaf is refused."""
     if not g.is_simple():
         raise GraphFormatError("ordering requires a simple graph; subdivide first")
+    tops = [w for w in g.neighbors(g.root) if _norm_edge(g.root, w) in g.tree_edges]
+    if len(tops) != 1:
+        raise GraphFormatError(f"root {g.root} has tree children {tops}; "
+                               "the root must be a leaf of the tree")
     rotation = g.rotation
     if rotation is None:
         warnings.warn("no rotation given; defaulting to ascending neighbor ids "

@@ -147,6 +147,22 @@ def test_order_rejects_multigraph():
         bf.ordered(g)
 
 
+@pytest.mark.parametrize("g, children", [
+    # the path 1-2-3 rooted at its middle vertex
+    (bf.Graph((1, 2, 3), ((1, 2), (2, 3)), frozenset({(1, 2), (2, 3)}), 2), "1, 3"),
+    # the star K1,3 rooted at its centre
+    (bf.Graph((1, 2, 3, 4), ((1, 2), (1, 3), (1, 4)),
+              frozenset({(1, 2), (1, 3), (1, 4)}), 1), "2, 3, 4"),
+])
+def test_order_rejects_root_that_is_not_a_leaf(g, children):
+    # built with the dataclass, not parse_graph; the subdivision check passes
+    # them at n = 1, so ordering is what refuses them
+    assert bf.check_subdivision(g, 1).ok()
+    with pytest.raises(GraphFormatError,
+                       match=rf"root {g.root} has tree children \[{children}\]"):
+        bf.ordered(g)
+
+
 # -- subdivision --------------------------------------------------------------
 
 
