@@ -45,7 +45,8 @@ def minimized(name: str, n: int):
 
 def unchecked_complex(og: bf.OrderedGraph, n: int) -> bf.CubeComplex:
     """A complex built without the subdivision check, which the constructor
-    otherwise always runs; for graphs too coarse for n particles."""
+    otherwise always runs: for a graph too coarse for n particles, or to
+    skip the check on a complex built many times."""
     with mock.patch("braidforge.cells.check_subdivision"):
         return bf.CubeComplex(og, n)
 
