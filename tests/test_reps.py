@@ -365,6 +365,7 @@ def test_solver_huge_tolerance_accepts_the_start():
     (-1, SolveOptions(), "seed"),
     (0, SolveOptions(restarts=0), "restarts"),
     (0, SolveOptions(restarts=-2), "restarts"),
+    (0, SolveOptions(tol=float("-inf")), "tol"),
     (0, SolveOptions(tol=-1.0), "tol"),
     (0, SolveOptions(tol=0.0), "tol"),
     (0, SolveOptions(tol=float("nan")), "tol"),
