@@ -142,13 +142,9 @@ def abelianization_rows(relators) -> list[dict[int, int]]:
     return out
 
 
-@dataclass
-class SNF:
-    diagonal: tuple[int, ...]     # nonzero invariant factors d1 | d2 | ...
-
-
-def smith_normal_form(matrix) -> SNF:
-    """Invariant factors of an integer matrix, exactly.
+def smith_normal_form(matrix) -> tuple[int, ...]:
+    """The nonzero invariant factors d1 | d2 | ... of an integer matrix,
+    exactly.
 
     Rows are dense sequences or sparse {column: value} mappings.  Sparse
     elimination on Python integers (after Dumas, Saunders & Villard,
@@ -219,7 +215,7 @@ def smith_normal_form(matrix) -> SNF:
                 continue
             add_row(r, bad, 1)
         heapq.heappush(heap, key(r, c))
-    return SNF(tuple(pivots))
+    return tuple(pivots)
 
 
 def in_row_lattice(rows, vectors) -> bool:
@@ -231,8 +227,7 @@ def in_row_lattice(rows, vectors) -> bool:
     L(A) + L(V) is prod d(A) / prod d(A; V) over the invariant factors, so
     every vector is a member exactly when they do not change."""
     rows = list(rows)
-    return (smith_normal_form(rows).diagonal
-            == smith_normal_form(rows + list(vectors)).diagonal)
+    return smith_normal_form(rows) == smith_normal_form(rows + list(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +256,9 @@ class HomologyClass:
 
 def homology_h1(p: FPGroup, warn_unexpected_torsion: bool = False) -> HomologyClass:
     """Cokernel of the abelianization matrix as free rank plus torsion."""
-    snf = smith_normal_form(abelianization_rows(p.relators))
-    torsion = tuple(d for d in snf.diagonal if d > 1)
+    factors = smith_normal_form(abelianization_rows(p.relators))
+    torsion = tuple(d for d in factors if d > 1)
     if warn_unexpected_torsion and any(d != 2 for d in torsion):
         warnings.warn(f"unexpected torsion factors {torsion}; graph pipelines "
                       "should only produce Z_2 torsion", stacklevel=2)
-    return HomologyClass(len(p.generators) - len(snf.diagonal), torsion)
+    return HomologyClass(len(p.generators) - len(factors), torsion)

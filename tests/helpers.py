@@ -362,8 +362,7 @@ def reference_in_row_lattice(matrix, vector) -> bool:
         return all(x == 0 for x in vector)
     if len(vector) != len(matrix[0]):
         raise ValueError("length mismatch")
-    return (smith_normal_form(matrix).diagonal
-            == smith_normal_form(list(matrix) + [list(vector)]).diagonal)
+    return smith_normal_form(matrix) == smith_normal_form(list(matrix) + [list(vector)])
 
 
 def reference_loss_and_grads(relators, mats, k):
