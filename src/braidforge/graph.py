@@ -98,6 +98,10 @@ def parse_graph(data: dict) -> Graph:
     Required keys: vertices, edges, tree_edges.  Optional: root (defaults to
     the lowest-id vertex of tree-degree 1), rotation (simple graphs only).
     """
+    if not isinstance(data, dict):
+        raise GraphFormatError("malformed graph file: expected a JSON object with 'vertices', "
+                               f"'edges' and 'tree_edges', got {type(data).__name__}")
+
     def read(key, convert):
         try:
             return [convert(x) for x in data[key]]

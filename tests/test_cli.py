@@ -422,6 +422,10 @@ LOOPS4 = {"loops": [
     ("rep-verify", {"k": "2", "matrices": {}}, "assignment 'k' is '2'"),
     ("physical", {"loops": [{"type": "Y", "k": "4", "m": 6, "n": 9}]},
      "loop 0 (Y) has 'k' = '4'"),
+    # a top level that is not an object is named as such
+    ("h1", [1, 2], "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got list"),
+    ("h1", "x", "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got str"),
+    ("h1", None, "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got NoneType"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
