@@ -291,7 +291,12 @@ def test_negative_max_steps_exit_2(tmp_path, capsys, argv):
     (["stabilize", THETA, "--from", "0", "--to", "2"], "--from 0 --to 2"),
     (["rep-solve", "PRES", "-k", "0"], "-k/--dimension must be at least 1, got 0"),
     (["rep-solve", "PRES", "-k", "-2"], "-k/--dimension must be at least 1, got -2"),
-])
+], ids=[  # fixed, so deleting a case renames no other; these are the ids pytest
+    # once gave by position, kept because earlier test runs name them
+    "argv0---seed", "argv1---restarts", "argv2---restarts", "argv3---tol", "argv4---tol",
+    "argv5---tol", "argv6---tol", "argv7---from 3 --to 2", "argv8---from 0 --to 2",
+    "argv9--k/--dimension must be at least 1, got 0",
+    "argv10--k/--dimension must be at least 1, got -2"])
 def test_solver_options_exit_2(tmp_path, capsys, argv, culprit):
     # rejected before any restart is drawn or any graph is read
     pres = tmp_path / "pres.json"

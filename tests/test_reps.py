@@ -370,7 +370,10 @@ def test_solver_huge_tolerance_accepts_the_start():
     (0, SolveOptions(tol=0.0), "tol"),
     (0, SolveOptions(tol=float("nan")), "tol"),
     (0, SolveOptions(tol=float("inf")), "tol"),
-])
+], ids=[  # fixed, so deleting a case renames no other; these are the ids pytest
+    # once gave by position, kept because earlier test runs name them
+    "-1-opts0-seed", "0-opts1-restarts", "0-opts2-restarts", "0-opts3-tol",
+    "0-opts4-tol", "0-opts5-tol", "0-opts6-tol", "0-opts7-tol"])
 def test_solver_rejects_bad_options(seed, opts, culprit):
     with pytest.raises(ValidationError, match=culprit):
         bf.solve_representation(theta4_group(), 2, seed=seed, opts=opts)
