@@ -143,8 +143,7 @@ def abelianization_rows(relators) -> list[dict[int, int]]:
 
 
 def smith_normal_form(matrix) -> tuple[int, ...]:
-    """The nonzero invariant factors d1 | d2 | ... of an integer matrix,
-    exactly.
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix, exactly.
 
     Rows are dense sequences or sparse {column: value} mappings.  Sparse
     elimination on Python integers (after Dumas, Saunders & Villard,

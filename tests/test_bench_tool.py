@@ -48,6 +48,7 @@ def test_cheapest_rung_in_a_fresh_interpreter():
 
 
 def test_rung_table():
+    # the names key the rungs in BENCH files, and --compare pairs them by name
     assert list(bench.RUNGS) == [
         "check theta n=400", "check cycle n=1100", "morse K5 n=5", "morse K5 n=6",
         "oracle K5 n=4", "physical K4 n=5", "physical K5 n=4", "tietze theta n=5",
