@@ -190,9 +190,11 @@ def cmd_minimal(args):
     result, h1 = minimize_morse(cx.og, mp)
     fp = result.group
     payload = _fp_payload(fp)
+    target = h1.free_rank + len(h1.torsion)     # no presentation has fewer generators
+    reached = len(fp.generators) <= target
     payload["h1"] = str(h1)
-    payload["target_generators"] = result.target
-    payload["target_reached"] = result.reached
+    payload["target_generators"] = target
+    payload["target_reached"] = reached
     payload["eliminations"] = [
         {"generator": e.generator,
          "relator": [[nm, s] for nm, s in e.relator],
@@ -201,8 +203,7 @@ def cmd_minimal(args):
     payload["tree_conditions"] = check_tree_conditions(cx.og).as_dict()
     lines = [str(fp),
              f"H1 = {h1}",
-             f"target {result.target} generators: "
-             + ("reached" if result.reached else "NOT reached")]
+             f"target {target} generators: " + ("reached" if reached else "NOT reached")]
     _emit(args, "\n".join(lines), payload)
     return 0
 

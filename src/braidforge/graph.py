@@ -81,12 +81,12 @@ def _adjacency(vertices, edges) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-def _reachable(adj, start: int, avoid: int | None = None) -> set[int]:
-    """Vertices reached from `start` in `adj` without entering `avoid`."""
+def _reachable(adj, start: int) -> set[int]:
+    """Vertices reached from `start` in `adj`."""
     seen, stack = {start}, [start]
     while stack:
         for w, _ in adj[stack.pop()]:
-            if w != avoid and w not in seen:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
@@ -319,8 +319,8 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     if g.is_simple() and check_subdivision(g, n).ok():
         return g
 
-    # mutable edge records: [u, v, is_tree, original_min_endpoint];
-    # only one copy of a parallel pair can be the tree edge
+    # mutable edge records: [u, v, is_tree]; only one copy of a parallel
+    # pair can be the tree edge
     records = []
     seen_tree: set[Edge] = set()
     for a, b in g.edges:
@@ -328,7 +328,7 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         is_tree = pair in g.tree_edges and pair not in seen_tree
         if is_tree:
             seen_tree.add(pair)
-        records.append([a, b, is_tree, min(a, b)])
+        records.append([a, b, is_tree])
     next_id = max(g.vertices) + 1
     rotation = dict(g.rotation) if g.rotation is not None else None
 
@@ -336,7 +336,7 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         nonlocal next_id
         if extra <= 0:
             return
-        u, v, in_tree, orig_min = records[idx]
+        u, v, in_tree = records[idx]
         new_vs = list(range(next_id, next_id + extra))
         next_id += extra
         chain = [u] + new_vs + [v]
@@ -344,16 +344,16 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         flags = [True] * len(chain_edges)
         if not in_tree:
             # keep exactly one deleted edge, anchored at the root when the
-            # piece touches it (the root keeps tree degree 1), else at the
-            # original lower endpoint when it is still present on this piece
-            anchor = next(x for x in (g.root, orig_min, min(u, v)) if x in (u, v))
+            # piece touches it (the root keeps tree degree 1), else at its
+            # lower end (new ids are larger, so the original one if present)
+            anchor = g.root if g.root in (u, v) else min(u, v)
             for i, e in enumerate(chain_edges):
                 if anchor in e:
                     flags[i] = False
                     break
-        records[idx] = [chain_edges[0][0], chain_edges[0][1], flags[0], orig_min]
+        records[idx] = [chain_edges[0][0], chain_edges[0][1], flags[0]]
         for e, f in zip(chain_edges[1:], flags[1:]):
-            records.append([e[0], e[1], f, orig_min])
+            records.append([e[0], e[1], f])
         if rotation is not None:
             def patch(vertex, old, new):
                 rotation[vertex] = tuple(new if x == old else x for x in rotation[vertex])

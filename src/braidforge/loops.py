@@ -26,7 +26,7 @@ from .cells import Cell, CellWord, CubeComplex, letter_endpoints
 from .errors import PhysicalSolveError, ValidationError
 from .graph import OrderedGraph
 from .morse import DEFAULT_MAX_STEPS, MorsePresentation, rewrite_word
-from .presentation import FPGroup, TietzeResult, _named, abelianization_rows, in_row_lattice
+from .presentation import FPGroup, TietzeResult, abelianization_rows, in_row_lattice
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,17 @@ class OLoopSpec:
 LoopSpec = YLoopSpec | OLoopSpec
 
 
+def _spectators(spec: LoopSpec, route, where: str) -> tuple[int, ...]:
+    """The spectators, sorted; none may repeat or sit on the loop's route."""
+    sv = set(spec.spectators)
+    if sv & set(route):
+        raise ValidationError(f"{spec.name}: spectators {sorted(sv & set(route))} "
+                              f"collide with {where}")
+    if len(sv) != len(spec.spectators):
+        raise ValidationError(f"{spec.name}: duplicate spectators")
+    return tuple(sorted(sv))
+
+
 def y_loop_word(og: OrderedGraph, spec: YLoopSpec) -> CellWord:
     k, m, n = spec.k, spec.m, spec.n
     l = og.parent.get(m)
@@ -67,14 +78,8 @@ def y_loop_word(og: OrderedGraph, spec: YLoopSpec) -> CellWord:
         raise ValidationError(f"{spec.name}: {k} is not the tree parent of junction {l}")
     if not (k < l < m < n):
         raise ValidationError(f"{spec.name}: need k < l < m < n, got {k} < {l} < {m} < {n}")
-    sv = set(spec.spectators)
-    if sv & {k, l, m, n}:
-        raise ValidationError(f"{spec.name}: spectators {sorted(sv & {k, l, m, n})} "
-                              "collide with the junction")
-    if len(sv) != len(spec.spectators):
-        raise ValidationError(f"{spec.name}: duplicate spectators")
+    vs = _spectators(spec, (k, l, m, n), "the junction")
     ekl, elm, eln = (k, l), (l, m), (l, n)
-    vs = tuple(sorted(sv))
     mk = lambda e, v: Cell((e,), vs + (v,))
     return (
         (mk(eln, k), +1), (mk(elm, k), -1), (mk(ekl, m), -1),
@@ -86,14 +91,8 @@ def o_loop_word(og: OrderedGraph, spec: OLoopSpec) -> CellWord:
     cyc = spec.cycle
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         raise ValidationError(f"{spec.name}: cycle must be simple with at least 3 vertices")
-    sv = set(spec.spectators)
-    if sv & set(cyc):
-        raise ValidationError(f"{spec.name}: spectators {sorted(sv & set(cyc))} "
-                              "collide with the cycle")
-    if len(sv) != len(spec.spectators):
-        raise ValidationError(f"{spec.name}: duplicate spectators")
+    vs = _spectators(spec, cyc, "the cycle")
     edge_set = set(og.edges)
-    vs = tuple(sorted(sv))
     word = []
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         e = (min(a, b), max(a, b))
@@ -196,6 +195,9 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
     for spec in specs:
         kind = "Y" if isinstance(spec, YLoopSpec) else "O"
         need = cx.n - (2 if kind == "Y" else 1)
+        if need < 0:
+            raise ValidationError(f"{spec.name}: a Y loop exchanges two particles; "
+                                  f"there is {cx.n}")
         if len(spec.spectators) != need:
             raise ValidationError(f"{spec.name}: a {kind} loop for {cx.n} particles "
                                   f"takes {need} spectators, got {len(spec.spectators)}")
@@ -272,7 +274,7 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
     for ri, rel in enumerate(minimized.group.relators):
         origin = minimized.group.provenance[ri] or f"relator {ri + 1}"
         relators.append((f"minimal:{origin}",
-                         to_loops(_named(rel, minimized.group.generators))))
+                         to_loops(W.labelled(rel, minimized.group.generators))))
 
     # dependency relators for auxiliary solved cells: every solved name is a
     # Morse generator, so one missing from the minimized group was eliminated

@@ -42,10 +42,6 @@ class RewriteTrace:
     indices: tuple[int, ...] = ()   # the output as signed generator indices
 
 
-def index_word_to_cells(word, generators: list[Cell]) -> CellWord:
-    return tuple((generators[abs(x) - 1], 1 if x > 0 else -1) for x in word)
-
-
 def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> RewriteTrace:
     """Reduce `word` to the invariant word over critical 1-cells.  The trace
     holds the move applied to each input letter and each free cancellation
@@ -117,7 +113,7 @@ def rewrite_word(cx: CubeComplex, word, max_steps: int = DEFAULT_MAX_STEPS) -> R
         else:
             reduced.append(x)
     trace.indices = tuple(reduced)
-    trace.output = index_word_to_cells(reduced, generators)
+    trace.output = W.labelled(reduced, generators)
     return trace
 
 
@@ -130,7 +126,7 @@ class MorsePresentation:
         return str(from_morse(self))
 
     def index_word_to_cells(self, word) -> CellWord:
-        return index_word_to_cells(word, self.generators)
+        return W.labelled(word, self.generators)
 
 
 def morse_presentation(cx: CubeComplex, max_steps: int = DEFAULT_MAX_STEPS) -> MorsePresentation:

@@ -63,16 +63,9 @@ class Elimination:
 class TietzeResult:
     group: FPGroup
     eliminations: list[Elimination]
-    target: int | None
-    reached: bool | None
 
 
-def _named(word, names) -> tuple[tuple[str, int], ...]:
-    return tuple((names[abs(x) - 1], 1 if x > 0 else -1) for x in word)
-
-
-def tietze_minimize(p: FPGroup, target: int | None = None,
-                    sizes: dict[str, int] | None = None) -> TietzeResult:
+def tietze_minimize(p: FPGroup, sizes: dict[str, int] | None = None) -> TietzeResult:
     """Eliminate generators that occur exactly once in some relator.
 
     Candidates are preferred by largest cell size, then shortest eliminating
@@ -108,7 +101,7 @@ def tietze_minimize(p: FPGroup, target: int | None = None,
         if len(rel) != length or rel.count(g) + rel.count(-g) != 1:
             continue
         expr = W.solve_for(rel, g)
-        log.append(Elimination(names[g - 1], _named(rel, names), _named(expr, names)))
+        log.append(Elimination(names[g - 1], W.labelled(rel, names), W.labelled(expr, names)))
         live.remove(g)
         relators[ri] = ()
         for i in holders.pop(g):
@@ -122,8 +115,7 @@ def tietze_minimize(p: FPGroup, target: int | None = None,
                     tuple(tuple(index[x] if x > 0 else -index[-x] for x in r)
                           for r in relators.values()),
                     tuple(p.provenance[ri] for ri in relators))
-    reached = None if target is None else len(live) <= target
-    return TietzeResult(group, log, target, reached)
+    return TietzeResult(group, log)
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,11 @@ def critical_cell_size(og: OrderedGraph, cell: Cell) -> int:
 
 
 def minimize_morse(og: OrderedGraph, mp: MorsePresentation):
-    """Tietze-minimize a Morse presentation toward the homology target."""
+    """Tietze-minimize a Morse presentation, large cells first; return it with H1."""
     fp = from_morse(mp)
     h1 = homology_h1(fp)
-    target = h1.free_rank + len(h1.torsion)
     sizes = {str(c): critical_cell_size(og, c) for c in mp.generators}
-    return tietze_minimize(fp, target=target, sizes=sizes), h1
+    return tietze_minimize(fp, sizes=sizes), h1
 
 
 @dataclass

@@ -30,6 +30,11 @@ def inverse(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
+def labelled(word, labels) -> tuple:
+    """The word as (label, sign) pairs, letter x reading labels[|x| - 1]."""
+    return tuple((labels[abs(x) - 1], 1 if x > 0 else -1) for x in word)
+
+
 def concat(*parts) -> Word:
     out: list[int] = []
     for p in parts:

@@ -431,7 +431,38 @@ LOOPS4 = {"loops": [
     ("h1", [1, 2], "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got list"),
     ("h1", "x", "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got str"),
     ("h1", None, "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got NoneType"),
-])
+], ids=[  # fixed, as in test_solver_options_exit_2: the ids pytest once gave by position
+    "physical-data0-not an object with a 'loops' list",
+    "physical-data1-loop 0 is not an object",
+    "physical-data2-not an object with a 'loops' list",
+    "physical-data3-loop 0 (Y) has 'k' = 'x'", "physical-data4-loop 0 (Y) has 'spectators'",
+    "physical-data5-loop 0 (O) has 'cycle'", "h1-data6-root 'x'",
+    "h1-data7-rotation entry '1'", "rep-verify-data8-assignment 'k'",
+    "rep-verify-data9-matrix for a", "physical-data10-loop 0 (Y) has 'k' = 4.9",
+    "physical-data11-loop 0 (O) has 'spectators'", "h1-data12-root 1.9",
+    "h1-data13-'vertices'", "h1-data14-'tree_edges'", "h1-data15-rotation entry '1'",
+    "rep-verify-data16-assignment 'k' is 2.7", "subdivide-data17-loop (1, 1) at the root 1",
+    "stabilize-data18-root arc (3, 2) with 1 edges (needs 2)",
+    "rep-solve-data19-generator 0 is ''", "rep-solve-data20-generator 0 is ['a']",
+    "rep-solve-data21-generator 1 is 'a'",
+    "physical-data22-Y(4,6,9;1,2,3): a Y loop for 2 particles takes 0 spectators, got 3",
+    "physical-data23-O(1-2-3-4-5-6-7-8;99): spectators [99] are not vertices",
+    "physical-data24-Y(4,6,10;): 6 and 10 are not tree siblings; no junction",
+    "physical-data25-O(1-2-7;9): cycle step 2->7 is not an edge",
+    ("h1-data26-missing key 'vertices'; this looks like a `subdivide --json` artifact, "
+     'whose graph sits under "graph"'),
+    "h1-data27-malformed graph file: missing key 'tree_edges'",
+    "physical-data28-unknown loop type ['Y']",
+    "h1-data29-'tree_edges': [1, 2, 3] is not a pair of vertex ids",
+    "rep-solve-data30-relator 0 has letter [True, 1]",
+    "rep-verify-data31-matrix for a is not unitary (defect nan)",
+    "h1-data32-'vertices': '1' is not an integer", "h1-data33-'edges'",
+    "h1-data34-root '1'", "h1-data35-rotation entry '1'", "h1-data36-rotation entry ' 1 '",
+    "rep-solve-data37-relator 0 has letter ['1', ' 1 ']",
+    "rep-verify-data38-assignment 'k' is '2'", "physical-data39-loop 0 (Y) has 'k' = '4'",
+    "h1-data40-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got list",
+    "h1-x-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got str",
+    "h1-None-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got NoneType"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -664,7 +695,16 @@ def test_no_input_file_ends_in_a_traceback(edit):
      "fd9a5448364dfa3539cd5a4094b57bb4adbec704462c9646b2ae0fb2a1f48c2a"),
     (["stabilize", THETA, "--from", "2", "--to", "4"],
      "8a3fab487ea4b423cc62e201f009912f71aff728eb073c86c6a6f925bd49ebb7"),
-])
+], ids=[  # fixed, as in test_solver_options_exit_2: the ids pytest once gave by position
+    "argv0-ad3c511ed406f3a6292dc903682e93220b04277ad535f8cb41178f06f8ea7015",
+    "argv1-607102d970b276c3ea680c9220df813723042efccc090e02c974ba49bb822d23",
+    "argv2-75e9e0a996ed34494e6b35abaf82413ad2ac8c2cd72a9cafa7c7f2b25f0c4274",
+    "argv3-53342a7c6710b14522e51d489b7afb2564f3a1e7a32e5faa57e2712afa9c61a5",
+    "argv4-49699c065407e3b53f4309f71fa3ef52ec624cdbaa980e2dd0f484e51c325667",
+    "argv5-52919ec4eade55958510fd87d6de32e64a1178053cb587cab2b8bff32b36d21d",
+    "argv6-921a57b08455141d16e5463224e05b947004450375281e1e7d257da5129c1a32",
+    "argv7-fd9a5448364dfa3539cd5a4094b57bb4adbec704462c9646b2ae0fb2a1f48c2a",
+    "argv8-8a3fab487ea4b423cc62e201f009912f71aff728eb073c86c6a6f925bd49ebb7"])
 def test_json_artifact_digests(tmp_path, argv, digest):
     # pins the JSON artifacts byte for byte
     loops = tmp_path / "loops4.json"

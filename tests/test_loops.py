@@ -69,6 +69,22 @@ def test_o_loop_validation():
         bf.o_loop_word(o, bf.OLoopSpec((5, 6, 7, 8, 1, 11, 10, 9), (6,)))
 
 
+U8 = (1, 2, 3, 4, 5, 6, 7, 8)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (bf.YLoopSpec(4, 6, 9, (6,)), "Y(4,6,9;6): spectators [6] collide with the junction"),
+    (bf.YLoopSpec(4, 6, 9, (1, 1)), "Y(4,6,9;1,1): duplicate spectators"),
+    (bf.OLoopSpec(U8, (3,)), "O(1-2-3-4-5-6-7-8;3): spectators [3] collide with the cycle"),
+    (bf.OLoopSpec(U8, (9, 9)), "O(1-2-3-4-5-6-7-8;9,9): duplicate spectators"),
+], ids=["Y-collide", "Y-duplicate", "O-collide", "O-duplicate"])
+def test_spectator_messages(spec, message):
+    # both loop families state the spectator rule in the same words
+    with pytest.raises(ValidationError) as exc:
+        loop_word(og("theta"), spec)
+    assert str(exc.value) == message
+
+
 def test_check_closed_rejects_broken_chain():
     c = theta_cells(2)
     with pytest.raises(ValidationError):
@@ -219,6 +235,15 @@ def test_solve_physical_n4_dictionary_and_relators():
         w = d[nm]
         expect = W.concat(expect, w if s > 0 else W.inverse(w))
     assert pp.relators[0][1] == expect
+
+
+def test_solve_physical_refuses_y_loop_at_one_particle():
+    # a Y loop exchanges two particles; at n = 1 it is refused by name, not
+    # asked for a negative number of spectators
+    with pytest.raises(ValidationError) as exc:
+        bf.solve_physical_presentation(complex_for("theta", 1), minimized("theta", 1),
+                                       [bf.YLoopSpec(4, 6, 9)], morse("theta", 1))
+    assert str(exc.value) == "Y(4,6,9;): a Y loop exchanges two particles; there is 1"
 
 
 def test_solve_physical_unsolvable_reports_and_suggests():
