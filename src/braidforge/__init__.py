@@ -8,8 +8,7 @@ from .cells import Cell, CubeComplex
 from .graph import (Graph, OrderedGraph, check_subdivision,
                     check_tree_conditions, ordered,
                     parse_graph, subdivide_for)
-from .loops import OLoopSpec, YLoopSpec, loop_image, loop_word, o_loop_word, \
-    solve_physical_presentation, y_loop_word
+from .loops import OLoopSpec, YLoopSpec, loop_image, solve_physical_presentation
 from .morse import MorsePresentation, morse_presentation, rewrite_word
 from .oracle import skeleton_presentation
 from .presentation import (FPGroup, HomologyClass, from_morse, homology_h1,
@@ -25,10 +24,10 @@ __all__ = [
     "YLoopSpec", "check_subdivision", "check_tree_conditions",
     "classify_theta_component", "eval_word",
     "from_morse", "homology_h1", "locally_abelian_solve", "loop_image",
-    "loop_word", "minimize_morse", "morse_presentation", "o_loop_word",
+    "minimize_morse", "morse_presentation",
     "ordered", "parse_graph", "plus_cell", "plus_word",
     "rewrite_word", "skeleton_presentation", "smith_normal_form",
     "solve_physical_presentation", "solve_representation",
     "stability_report", "subdivide_for", "tietze_minimize",
-    "verify_representation", "y_loop_word",
+    "verify_representation",
 ]

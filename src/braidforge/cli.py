@@ -3,7 +3,7 @@ minimal/physical -> homology -> stabilization -> representations.
 
 Exit codes: 1 usage, 2 validation (graph format, subdivision, tree), 3
 computation failure (rewrite bound, unsolvable loop system, no
-representation at tolerance).
+representation at tolerance).  `loops.read_loops` reads a loops file.
 
 Every JSON artifact embeds a manifest, built in one place: the command, the
 SHA-256 of the bytes each input file was parsed from (each file is read once,
@@ -23,11 +23,12 @@ import warnings
 from pathlib import Path
 
 from . import __version__
+from . import words as W
 from .cells import CRITICAL, CubeComplex
 from .errors import ComputationError, ValidationError, json_int
 from .graph import (Graph, check_tree_conditions, ordered, parse_graph,
                     subdivide_for)
-from .loops import OLoopSpec, YLoopSpec, solve_physical_presentation
+from .loops import read_loops, solve_physical_presentation
 from .morse import DEFAULT_MAX_STEPS, morse_presentation
 from .oracle import skeleton_presentation
 from .presentation import FPGroup, from_morse, homology_h1
@@ -99,9 +100,8 @@ def _physical_for(args):
     """The physical presentation over the loops file, and H1."""
     cx, mp = _morse_for(args)
     minimized, h1 = minimize_morse(cx.og, mp)
-    specs = _parse_loops_file(args)
-    return solve_physical_presentation(cx, minimized, specs, mp,
-                                       max_steps=args.max_steps), h1
+    specs = read_loops(_read_json(args, "loops"), args.loops)
+    return solve_physical_presentation(cx, minimized, specs, mp, max_steps=args.max_steps), h1
 
 
 def _signed_indices(word) -> list:
@@ -228,50 +228,6 @@ def cmd_oracle(args):
     return 0
 
 
-def _loop_ids(item: dict, index: int, key: str):
-    """A vertex id, or for 'cycle' and 'spectators' a tuple of them."""
-    value = item.get(key, [])
-    many = key in ("cycle", "spectators")
-    try:
-        if not many:
-            return json_int(value)
-        if isinstance(value, list):
-            return tuple(json_int(v) for v in value)
-    except (TypeError, ValueError):
-        pass
-    raise ValidationError(
-        f"loop {index} ({item['type']}) has {key!r} = {value!r}; expected "
-        + ("a list of vertex ids" if many else "a vertex id"))
-
-
-def _parse_loops_file(args):
-    path = args.loops
-    data = _read_json(args, "loops")
-    loops = data.get("loops", []) if isinstance(data, dict) else None
-    if not isinstance(loops, list):
-        raise ValidationError(f"loops file {path} is not an object with a 'loops' list")
-    specs = []
-    for index, item in enumerate(loops):
-        if not isinstance(item, dict):
-            raise ValidationError(f"loop {index} is not an object: {item!r}")
-        kind = item.get("type")
-        if kind not in ("Y", "O"):
-            raise ValidationError(f"unknown loop type {kind!r}")
-        required = ("k", "m", "n") if kind == "Y" else ("cycle",)
-        missing = [key for key in required if key not in item]
-        if missing:
-            raise ValidationError(f"loop {index} ({kind}) has no {missing[0]!r}")
-        spect = _loop_ids(item, index, "spectators")
-        if kind == "Y":
-            specs.append(YLoopSpec(*(_loop_ids(item, index, key) for key in required),
-                                   spect))
-        else:
-            specs.append(OLoopSpec(_loop_ids(item, index, "cycle"), spect))
-    if not specs:
-        raise ValidationError("loops file declares no loops")
-    return specs
-
-
 def cmd_physical(args):
     pp, h1 = _physical_for(args)
     payload = {
@@ -289,8 +245,7 @@ def cmd_physical(args):
         lines.append(f"  {nm} = {pp.group.word_str(wd)}")
     lines.append("loop images:")
     for lg in pp.loops:
-        img = " ".join(nm + ("" if s > 0 else "^-1") for nm, s in lg.image) or "1"
-        lines.append(f"  {lg.name} -> {img}")
+        lines.append(f"  {lg.name} -> {W.text(lg.image)}")
     _emit(args, "\n".join(lines), payload)
     return 0
 

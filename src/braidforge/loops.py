@@ -2,7 +2,10 @@
 
 A loop system is a list of loops from two families: a pair exchange at a
 tree junction (Y loop, six letters) and a single particle driven around a
-simple cycle with all other particles parked (O loop).  The solver expresses
+simple cycle with all other particles parked (O loop).  A family is one spec
+class: `kind` is a loops-file entry's "type" and the fields its other keys
+(read_loops), `moves` counts the particles it moves (the rest are
+spectators), and `word(og)` is the loop in 1-cells.  The solver expresses
 the critical-cell generators of a minimized presentation as words in the
 given loops and rewrites all relators through that dictionary.  The two
 families do not always suffice: an O loop cannot park a particle on its own
@@ -19,46 +22,18 @@ flow to the empty word.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, fields
+from typing import ClassVar
 
 from . import words as W
 from .cells import Cell, CellWord, CubeComplex, letter_endpoints
-from .errors import PhysicalSolveError, ValidationError
+from .errors import PhysicalSolveError, ValidationError, json_int
 from .graph import OrderedGraph
 from .morse import DEFAULT_MAX_STEPS, MorsePresentation, rewrite_word
 from .presentation import FPGroup, TietzeResult, abelianization_rows, in_row_lattice
 
 
-@dataclass(frozen=True)
-class YLoopSpec:
-    """Exchange of two particles over the junction above m and n; k sits
-    below the junction l, which is inferred as the common tree parent of m
-    and n.  Spectators are parked vertices, one per remaining particle."""
-    k: int
-    m: int
-    n: int
-    spectators: tuple[int, ...] = ()
-
-    @property
-    def name(self) -> str:
-        return f"Y({self.k},{self.m},{self.n};{','.join(map(str, sorted(self.spectators)))})"
-
-
-@dataclass(frozen=True)
-class OLoopSpec:
-    """One particle around an oriented simple cycle, spectators parked."""
-    cycle: tuple[int, ...]
-    spectators: tuple[int, ...] = ()
-
-    @property
-    def name(self) -> str:
-        return f"O({'-'.join(map(str, self.cycle))};{','.join(map(str, sorted(self.spectators)))})"
-
-
-LoopSpec = YLoopSpec | OLoopSpec
-
-
-def _spectators(spec: LoopSpec, route, where: str) -> tuple[int, ...]:
+def _spectators(spec, route, where: str) -> tuple[int, ...]:
     """The spectators, sorted; none may repeat or sit on the loop's route."""
     sv = set(spec.spectators)
     if sv & set(route):
@@ -69,45 +44,109 @@ def _spectators(spec: LoopSpec, route, where: str) -> tuple[int, ...]:
     return tuple(sorted(sv))
 
 
-def y_loop_word(og: OrderedGraph, spec: YLoopSpec) -> CellWord:
-    k, m, n = spec.k, spec.m, spec.n
-    l = og.parent.get(m)
-    if l is None or og.parent.get(n) != l:
-        raise ValidationError(f"{spec.name}: {m} and {n} are not tree siblings; no junction")
-    if og.parent.get(l) != k:
-        raise ValidationError(f"{spec.name}: {k} is not the tree parent of junction {l}")
-    if not (k < l < m < n):
-        raise ValidationError(f"{spec.name}: need k < l < m < n, got {k} < {l} < {m} < {n}")
-    vs = _spectators(spec, (k, l, m, n), "the junction")
-    ekl, elm, eln = (k, l), (l, m), (l, n)
-    mk = lambda e, v: Cell((e,), vs + (v,))
-    return (
-        (mk(eln, k), +1), (mk(elm, k), -1), (mk(ekl, m), -1),
-        (mk(eln, m), -1), (mk(elm, n), +1), (mk(ekl, n), +1),
-    )
+@dataclass(frozen=True)
+class YLoopSpec:
+    """Exchange of two particles over the junction above m and n; k sits
+    below the junction l, which is inferred as the common tree parent of m
+    and n.  Spectators are parked vertices, one per remaining particle."""
+    kind: ClassVar[str] = "Y"
+    moves: ClassVar[int] = 2
+    k: int
+    m: int
+    n: int
+    spectators: tuple[int, ...] = ()
+
+    @property
+    def name(self) -> str:
+        return f"Y({self.k},{self.m},{self.n};{','.join(map(str, sorted(self.spectators)))})"
+
+    def word(self, og: OrderedGraph) -> CellWord:
+        k, m, n = self.k, self.m, self.n
+        l = og.parent.get(m)
+        if l is None or og.parent.get(n) != l:
+            raise ValidationError(f"{self.name}: {m} and {n} are not tree siblings; no junction")
+        if og.parent.get(l) != k:
+            raise ValidationError(f"{self.name}: {k} is not the tree parent of junction {l}")
+        if not (k < l < m < n):
+            raise ValidationError(f"{self.name}: need k < l < m < n, got {k} < {l} < {m} < {n}")
+        vs = _spectators(self, (k, l, m, n), "the junction")
+        ekl, elm, eln = (k, l), (l, m), (l, n)
+        mk = lambda e, v: Cell((e,), vs + (v,))
+        return (
+            (mk(eln, k), +1), (mk(elm, k), -1), (mk(ekl, m), -1),
+            (mk(eln, m), -1), (mk(elm, n), +1), (mk(ekl, n), +1),
+        )
 
 
-def o_loop_word(og: OrderedGraph, spec: OLoopSpec) -> CellWord:
-    cyc = spec.cycle
-    if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-        raise ValidationError(f"{spec.name}: cycle must be simple with at least 3 vertices")
-    vs = _spectators(spec, cyc, "the cycle")
-    edge_set = set(og.edges)
-    word = []
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        e = (min(a, b), max(a, b))
-        if e not in edge_set:
-            raise ValidationError(f"{spec.name}: cycle step {a}->{b} is not an edge")
-        # positive direction of a 1-cell is iota -> tau
-        sign = +1 if a == e[1] else -1
-        word.append((Cell((e,), vs), sign))
-    return tuple(word)
+@dataclass(frozen=True)
+class OLoopSpec:
+    """One particle around an oriented simple cycle, spectators parked."""
+    kind: ClassVar[str] = "O"
+    moves: ClassVar[int] = 1
+    cycle: tuple[int, ...]
+    spectators: tuple[int, ...] = ()
+
+    @property
+    def name(self) -> str:
+        return f"O({'-'.join(map(str, self.cycle))};{','.join(map(str, sorted(self.spectators)))})"
+
+    def word(self, og: OrderedGraph) -> CellWord:
+        cyc = self.cycle
+        if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+            raise ValidationError(f"{self.name}: cycle must be simple with at least 3 vertices")
+        vs = _spectators(self, cyc, "the cycle")
+        edge_set = set(og.edges)
+        word = []
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            e = (min(a, b), max(a, b))
+            if e not in edge_set:
+                raise ValidationError(f"{self.name}: cycle step {a}->{b} is not an edge")
+            # positive direction of a 1-cell is iota -> tau
+            sign = +1 if a == e[1] else -1
+            word.append((Cell((e,), vs), sign))
+        return tuple(word)
 
 
-def loop_word(og: OrderedGraph, spec: LoopSpec) -> CellWord:
-    if isinstance(spec, YLoopSpec):
-        return y_loop_word(og, spec)
-    return o_loop_word(og, spec)
+def _ids(item: dict, index: int, field: Field):
+    """A field of a loops-file entry: a vertex id if typed int (annotations are
+    strings here), else a list of them; a field with a default may be left out."""
+    if field.name not in item:
+        return field.default
+    value, many = item[field.name], field.type != "int"
+    try:
+        if not many:
+            return json_int(value)
+        if isinstance(value, list):
+            return tuple(json_int(v) for v in value)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(
+        f"loop {index} ({item['type']}) has {field.name!r} = {value!r}; expected "
+        + ("a list of vertex ids" if many else "a vertex id"))
+
+
+def read_loops(data, path) -> list:
+    """The loop specs of a loops file's JSON value `data`, read from `path`.
+    An entry's "type" is its family's kind, its other keys the spec's fields."""
+    loops = data.get("loops", []) if isinstance(data, dict) else None
+    if not isinstance(loops, list):
+        raise ValidationError(f"loops file {path} is not an object with a 'loops' list")
+    specs = []
+    for index, item in enumerate(loops):
+        if not isinstance(item, dict):
+            raise ValidationError(f"loop {index} is not an object: {item!r}")
+        family = next((f for f in (YLoopSpec, OLoopSpec) if f.kind == item.get("type")), None)
+        if family is None:
+            raise ValidationError(f"unknown loop type {item.get('type')!r}")
+        missing = [f.name for f in fields(family) if f.default is MISSING and f.name not in item]
+        if missing:
+            raise ValidationError(f"loop {index} ({family.kind}) has no {missing[0]!r}")
+        # the fields with defaults (spectators) are read first
+        specs.append(family(**{f.name: _ids(item, index, f) for f in
+                               sorted(fields(family), key=lambda f: f.default is MISSING)}))
+    if not specs:
+        raise ValidationError("loops file declares no loops")
+    return specs
 
 
 def check_closed(word: CellWord):
@@ -145,7 +184,7 @@ def loop_image(cx: CubeComplex, word: CellWord,
 @dataclass
 class LoopGenerator:
     name: str
-    kind: str                      # "Y" or "O"
+    kind: str                      # the spec's kind
     image: tuple[tuple[str, int], ...]   # over critical-cell names
 
 
@@ -193,20 +232,19 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
     og = cx.og
     loop_gens: list[LoopGenerator] = []
     for spec in specs:
-        kind = "Y" if isinstance(spec, YLoopSpec) else "O"
-        need = cx.n - (2 if kind == "Y" else 1)
-        if need < 0:
-            raise ValidationError(f"{spec.name}: a Y loop exchanges two particles; "
-                                  f"there is {cx.n}")
+        # "an" before a letter whose name starts with a vowel sound
+        family = f"{'an' if spec.kind in 'AEFHILMNORSX' else 'a'} {spec.kind} loop"
+        need = cx.n - spec.moves
+        if need < 0:     # n >= 1, so only a loop that exchanges two gets here
+            raise ValidationError(f"{spec.name}: {family} exchanges two particles; there is {cx.n}")
         if len(spec.spectators) != need:
-            raise ValidationError(f"{spec.name}: a {kind} loop for {cx.n} particles "
+            raise ValidationError(f"{spec.name}: {family} for {cx.n} particle{'s' * (cx.n != 1)} "
                                   f"takes {need} spectators, got {len(spec.spectators)}")
         strays = [v for v in spec.spectators if not 1 <= v <= og.n]
         if strays:
             raise ValidationError(f"{spec.name}: spectators {strays} are not vertices")
-        word = loop_word(og, spec)
-        img = loop_image(cx, word, max_steps=max_steps)
-        loop_gens.append(LoopGenerator(spec.name, kind,
+        img = loop_image(cx, spec.word(og), max_steps=max_steps)
+        loop_gens.append(LoopGenerator(spec.name, spec.kind,
                                        tuple((str(c), s) for c, s in img)))
     names = [lg.name for lg in loop_gens]
     if len(set(names)) != len(names):

@@ -31,10 +31,7 @@ class FPGroup:
             raise ValueError("provenance length mismatch")
 
     def word_str(self, word) -> str:
-        if not word:
-            return "1"
-        return " ".join(self.generators[abs(x) - 1] + ("" if x > 0 else "^-1")
-                        for x in word)
+        return W.text(W.labelled(word, self.generators))
 
     def __str__(self) -> str:
         gens = ", ".join(self.generators)

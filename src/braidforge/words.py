@@ -35,6 +35,11 @@ def labelled(word, labels) -> tuple:
     return tuple((labels[abs(x) - 1], 1 if x > 0 else -1) for x in word)
 
 
+def text(named) -> str:
+    """A word of (label, sign) pairs as text, "a b^-1"; the empty word is "1"."""
+    return " ".join(nm + ("" if s > 0 else "^-1") for nm, s in named) or "1"
+
+
 def concat(*parts) -> Word:
     out: list[int] = []
     for p in parts:

@@ -269,7 +269,8 @@ def test_particles_below_one_exit_2():
     ["present", THETA, "-n", "2", "--max-steps", "-1"],
     ["present", THETA, "-n", "3", "--max-steps", "-1"],
     ["h1", THETA, "-n", "3", "--max-steps", "-5"],
-])
+], ids=[  # fixed, as in test_solver_options_exit_2: the ids pytest once gave by position
+    "argv0", "argv1", "argv2"])
 def test_negative_max_steps_exit_2(tmp_path, capsys, argv):
     # refused before any rewrite, also at n = 2 where no relator would be
     # rewritten and the value would otherwise land in the manifest
@@ -431,6 +432,9 @@ LOOPS4 = {"loops": [
     ("h1", [1, 2], "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got list"),
     ("h1", "x", "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got str"),
     ("h1", None, "expected a JSON object with 'vertices', 'edges' and 'tree_edges', got NoneType"),
+    # a loop's optional fields are read before its required ones
+    ("physical", {"loops": [{"type": "Y", "k": "x", "m": 6, "n": 9, "spectators": "y"}]},
+     "loop 0 (Y) has 'spectators' = 'y'"),
 ], ids=[  # fixed, as in test_solver_options_exit_2: the ids pytest once gave by position
     "physical-data0-not an object with a 'loops' list",
     "physical-data1-loop 0 is not an object",
@@ -462,7 +466,8 @@ LOOPS4 = {"loops": [
     "rep-verify-data38-assignment 'k' is '2'", "physical-data39-loop 0 (Y) has 'k' = '4'",
     "h1-data40-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got list",
     "h1-x-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got str",
-    "h1-None-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got NoneType"])
+    "h1-None-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got NoneType",
+    "physical-spectators-before-k"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -744,7 +749,8 @@ PRES2_SHA = "4eb193c749cdc0804a2340382b084878767d3f5fc9bca13c9d04099a75a375d4"
     (["rep-solve", "PRES", "-k", "2", "--seed", "3", "--restarts", "4"],
      {"command": "rep-solve", "inputs": {"presentation": PRES2_SHA},
       "parameters": {"k": 2, "restarts": 4, "seed": 3, "tol": 1e-08}, "version": "0.1.0"}),
-])
+], ids=[  # fixed, as in test_solver_options_exit_2: the ids pytest once gave by position
+    "argv0-manifest0", "argv1-manifest1"])
 def test_rep_manifests(tmp_path, capsys, argv, manifest):
     # the floats of these artifacts depend on the BLAS build, so the
     # manifest is pinned instead of a digest of the whole artifact

@@ -10,7 +10,7 @@ from braidforge import words as W
 from braidforge.cells import inverse_word, letter_endpoints
 from braidforge.errors import PhysicalSolveError, ValidationError
 from braidforge.loops import (_suggest_loops, _validate_consequences, check_closed,
-                              loop_image, loop_word)
+                              loop_image)
 
 from helpers import (E18, E59, E111, cell, complete_graph, complex_for, cw,
                      edge_crossings, graph, minimized, morse, og, theta_cells,
@@ -18,7 +18,7 @@ from helpers import (E18, E59, E111, cell, complete_graph, complex_for, cw,
 
 
 def test_y_loop_word_exact():
-    word = bf.y_loop_word(og("theta"), bf.YLoopSpec(4, 6, 9))
+    word = bf.YLoopSpec(4, 6, 9).word(og("theta"))
     assert word == (
         (cell([E59], [4]), +1), (cell([(5, 6)], [4]), -1),
         (cell([(4, 5)], [6]), -1), (cell([E59], [6]), -1),
@@ -29,25 +29,24 @@ def test_y_loop_word_exact():
 def test_y_loop_word_is_closed_length_six():
     for spec in (bf.YLoopSpec(4, 6, 9), bf.YLoopSpec(4, 6, 9, (1, 2)),
                  bf.YLoopSpec(4, 6, 9, (10, 11))):
-        word = bf.y_loop_word(og("theta"), spec)
+        word = spec.word(og("theta"))
         assert len(word) == 6
         check_closed(word)
 
 
 def test_y_loop_validation():
     with pytest.raises(ValidationError, match="siblings"):
-        bf.y_loop_word(og("theta"), bf.YLoopSpec(4, 6, 10))
+        bf.YLoopSpec(4, 6, 10).word(og("theta"))
     with pytest.raises(ValidationError, match="collide"):
-        bf.y_loop_word(og("theta"), bf.YLoopSpec(4, 6, 9, (6,)))
+        bf.YLoopSpec(4, 6, 9, (6,)).word(og("theta"))
     with pytest.raises(ValidationError, match="parent"):
-        bf.y_loop_word(og("y"), bf.YLoopSpec(1, 4, 6))
+        bf.YLoopSpec(1, 4, 6).word(og("y"))
     # valid junction spec on the y fixture for contrast
-    check_closed(bf.y_loop_word(og("y"), bf.YLoopSpec(2, 4, 6)))
+    check_closed(bf.YLoopSpec(2, 4, 6).word(og("y")))
 
 
 def test_o_loop_word_exact():
-    word = bf.o_loop_word(og("theta"),
-                          bf.OLoopSpec((5, 6, 7, 8, 1, 11, 10, 9), (2,)))
+    word = bf.OLoopSpec((5, 6, 7, 8, 1, 11, 10, 9), (2,)).word(og("theta"))
     assert word == (
         (cell([(5, 6)], [2]), -1), (cell([(6, 7)], [2]), -1),
         (cell([(7, 8)], [2]), -1), (cell([E18], [2]), +1),
@@ -60,13 +59,13 @@ def test_o_loop_word_exact():
 def test_o_loop_validation():
     o = og("theta")
     with pytest.raises(ValidationError, match="at least 3"):
-        bf.o_loop_word(o, bf.OLoopSpec((1, 2)))
+        bf.OLoopSpec((1, 2)).word(o)
     with pytest.raises(ValidationError, match="simple"):
-        bf.o_loop_word(o, bf.OLoopSpec((1, 2, 3, 2, 8)))
+        bf.OLoopSpec((1, 2, 3, 2, 8)).word(o)
     with pytest.raises(ValidationError, match="not an edge"):
-        bf.o_loop_word(o, bf.OLoopSpec((1, 2, 3, 7)))
+        bf.OLoopSpec((1, 2, 3, 7)).word(o)
     with pytest.raises(ValidationError, match="collide"):
-        bf.o_loop_word(o, bf.OLoopSpec((5, 6, 7, 8, 1, 11, 10, 9), (6,)))
+        bf.OLoopSpec((5, 6, 7, 8, 1, 11, 10, 9), (6,)).word(o)
 
 
 U8 = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -81,7 +80,7 @@ U8 = (1, 2, 3, 4, 5, 6, 7, 8)
 def test_spectator_messages(spec, message):
     # both loop families state the spectator rule in the same words
     with pytest.raises(ValidationError) as exc:
-        loop_word(og("theta"), spec)
+        spec.word(og("theta"))
     assert str(exc.value) == message
 
 
@@ -96,10 +95,10 @@ def test_loop_images_n2():
     o = og("theta")
     specs = theta_loop_specs(2)
     c = theta_cells(2)
-    assert loop_image(cx, loop_word(o, specs["gamma"])) == cw(c, ("g", -1))
-    assert loop_image(cx, loop_word(o, specs["aD"])) == \
+    assert loop_image(cx, specs["gamma"].word(o)) == cw(c, ("g", -1))
+    assert loop_image(cx, specs["aD"].word(o)) == \
         cw(c, ("a1", 1), ("a2", -1))
-    assert loop_image(cx, loop_word(o, specs["aU"])) == \
+    assert loop_image(cx, specs["aU"].word(o)) == \
         cw(c, ("g", 1), ("a1", 1))
 
 
@@ -108,12 +107,12 @@ def test_loop_images_n4():
     o = og("theta")
     specs = theta_loop_specs(4)
     c = theta_cells(4)
-    assert loop_image(cx, loop_word(o, specs["gamma"])) == cw(c, ("g", -1))
-    assert loop_image(cx, loop_word(o, specs["gamma_p"])) == cw(c, ("s2", -1))
-    assert loop_image(cx, loop_word(o, specs["gamma_pp"])) == cw(c, ("s5", -1))
-    assert loop_image(cx, loop_word(o, specs["aD"])) == \
+    assert loop_image(cx, specs["gamma"].word(o)) == cw(c, ("g", -1))
+    assert loop_image(cx, specs["gamma_p"].word(o)) == cw(c, ("s2", -1))
+    assert loop_image(cx, specs["gamma_pp"].word(o)) == cw(c, ("s5", -1))
+    assert loop_image(cx, specs["aD"].word(o)) == \
         cw(c, ("a1", 1), ("a2", -1))
-    assert loop_image(cx, loop_word(o, specs["aU"])) == \
+    assert loop_image(cx, specs["aU"].word(o)) == \
         cw(c, ("s5", 1), ("s2", 1), ("g", 1), ("a1", 1))
 
 
@@ -122,7 +121,7 @@ def test_loop_image_preserves_deleted_edge_crossings():
         cx = complex_for("theta", n)
         o = og("theta")
         for spec in theta_loop_specs(n).values():
-            word = loop_word(o, spec)
+            word = spec.word(o)
             path = cx.path_to_base(letter_endpoints(word[0])[0])
             based = path + word + inverse_word(path)
             image = loop_image(cx, word)
@@ -164,7 +163,7 @@ def test_loop_image_independent_of_basing_path():
         return tuple(reversed(out))
 
     for spec in theta_loop_specs(2).values():
-        word = loop_word(o, spec)
+        word = spec.word(o)
         start = letter_endpoints(word[0])[0]
         alt = bfs_path(start)
         based_alt = alt + word + inverse_word(alt)
@@ -246,6 +245,15 @@ def test_solve_physical_refuses_y_loop_at_one_particle():
     assert str(exc.value) == "Y(4,6,9;): a Y loop exchanges two particles; there is 1"
 
 
+def test_solve_physical_count_message_names_the_family():
+    # the spectator count is worded from the loop's family and agrees in
+    # number: an O loop, 1 particle
+    with pytest.raises(ValidationError) as exc:
+        bf.solve_physical_presentation(complex_for("theta", 1), minimized("theta", 1),
+                                       [bf.OLoopSpec(U8, (9,))], morse("theta", 1))
+    assert str(exc.value) == "O(1-2-3-4-5-6-7-8;9): an O loop for 1 particle takes 0 spectators, got 1"
+
+
 def test_solve_physical_unsolvable_reports_and_suggests():
     cx = complex_for("theta", 4)
     specs = [theta_loop_specs(4)["gamma"], theta_loop_specs(4)["aU"]]
@@ -292,7 +300,7 @@ def test_physical_on_tree_fixture():
     assert pp2.relators == []
 
     cx3 = complex_for("y", 3)
-    img5 = bf.loop_image(cx3, bf.y_loop_word(o, bf.YLoopSpec(2, 4, 6, (5,))))
+    img5 = bf.loop_image(cx3, bf.YLoopSpec(2, 4, 6, (5,)).word(o))
     assert [(str(c), s) for c, s in img5] == \
         [("{e(3,6),1,4}", 1), ("{e(3,6),4,5}", -1)]
     pp3 = bf.solve_physical_presentation(
@@ -319,7 +327,7 @@ def test_physical_lasso_stalls_without_suggestions():
     assert exc.value.suggestions == ()
     # both cycle loops land on the root-parked generator
     o = og("lasso")
-    img = bf.loop_image(cx, bf.o_loop_word(o, specs[0]))
+    img = bf.loop_image(cx, specs[0].word(o))
     assert [(str(c), s) for c, s in img] == [("{e(3,5),1}", 1)]
 
 

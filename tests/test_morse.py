@@ -352,10 +352,10 @@ def test_rewrite_concatenation_homomorphism():
     # free case: rewriting distributes over concatenation after reduction
     cx = complex_for("theta", 2)
     specs = theta_loop_specs(2)
-    w1 = bf.loop_word(og("theta"), specs["gamma"])
+    w1 = specs["gamma"].word(og("theta"))
     p1 = cx.path_to_base({4, 9})
     based1 = p1 + w1 + inverse_word(p1)
-    w2 = bf.loop_word(og("theta"), specs["aD"])
+    w2 = specs["aD"].word(og("theta"))
     p2 = cx.path_to_base({5, 2})
     based2 = p2 + w2 + inverse_word(p2)
     joint = rewrite_word(cx, based1 + based2).output

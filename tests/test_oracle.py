@@ -130,7 +130,7 @@ def test_loop_image_class_matches_in_skeleton():
         sp = skeleton_presentation(cx)
         rows = abelianization_rows(sp.group.relators)
         for spec in specs:
-            word = bf.loop_word(_og("theta"), spec)
+            word = spec.word(_og("theta"))
             path = cx.path_to_base(letter_endpoints(word[0])[0])
             based = path + word + inverse_word(path)
             image = rewrite_word(cx, based).output

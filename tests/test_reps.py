@@ -331,7 +331,8 @@ def _reference_solve(p, k, seed, opts):
     (FPGroup(("a",), ((1, 1),)), 2, 0),
     (FPGroup(("a", "b"), ((1, 2, -1, -2), (1, 1, 1))), 1, 4),
     (FPGroup(("a", "b"), ((1, 2, -1, -2), (1, 1, 1))), 3, 9),
-])
+], ids=[  # fixed, as in test_solver_rejects_bad_options: the ids pytest once gave
+    "fp0-2-7", "fp1-3-2", "fp2-2-0", "fp3-1-4", "fp4-3-9"])
 def test_solver_matches_per_restart_reference(fp, k, seed):
     # same arithmetic per restart, so the same bits
     opts = SolveOptions(restarts=5, tol=1e-3)
