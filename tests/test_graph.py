@@ -10,7 +10,7 @@ from braidforge.errors import GraphFormatError, SubdivisionError, ValidationErro
 from braidforge.fixtures import load_fixture
 from braidforge.graph import check_tree_conditions, relabel_canonically
 
-from helpers import graph, og, random_multigraph, raw_theta
+from helpers import complete_graph, graph, og, random_multigraph, raw_theta
 
 
 def test_parse_theta_fixture():
@@ -325,6 +325,20 @@ def test_subdivide_and_order_random_multigraphs_digest():
     blob = json.dumps(out, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         "608c8117a6afca0ac137d7252936f64398091649cd8dd5fe1cb8eb04e890f023"
+
+
+def test_subdivide_for_large_n_digest():
+    # pins how padding spreads the remainder of a division over long chains,
+    # rotations included, and root-arc padding, at n > 4
+    cases = [(graph("theta"), [*range(5, 13), 40]), (raw_theta(), range(5, 13)),
+             (graph("lasso"), range(3, 9)), (complete_graph(4), range(5, 8)),
+             (complete_graph(5), (5, 6))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # raw theta has no rotation
+        out = [bf.subdivide_for(g, n).to_json_dict() for g, ns in cases for n in ns]
+    blob = json.dumps(out, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "6b4805bdc6fd7a6cd21da8c172e5a941aa2a767dc5accabdfe0f255522ea0783"
 
 
 def test_check_subdivision_reports_digest():
