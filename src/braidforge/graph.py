@@ -319,41 +319,25 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     if g.is_simple() and check_subdivision(g, n).ok():
         return g
 
-    # mutable edge records: [u, v, is_tree]; only one copy of a parallel
-    # pair can be the tree edge
-    records = []
-    seen_tree: set[Edge] = set()
-    for a, b in g.edges:
-        pair = _norm_edge(a, b)
-        is_tree = pair in g.tree_edges and pair not in seen_tree
-        if is_tree:
-            seen_tree.add(pair)
-        records.append([a, b, is_tree])
+    # one entry per normalised edge pair: (u, v, is_tree), u and v in the
+    # order the new vertices run from
+    table: dict[Edge, tuple[int, int, bool]] = {}
     next_id = max(g.vertices) + 1
     rotation = dict(g.rotation) if g.rotation is not None else None
 
-    def subdivide_record(idx: int, extra: int):
+    def insert(u: int, v: int, in_tree: bool, extra: int):
+        """Write the edge u-v into the table as a chain through `extra` new
+        vertices.  Off the tree, exactly one piece is deleted, anchored at
+        the root when the piece touches it (the root keeps tree degree 1),
+        else at its lower end (new ids are larger, so the original one)."""
         nonlocal next_id
-        if extra <= 0:
-            return
-        u, v, in_tree = records[idx]
         new_vs = list(range(next_id, next_id + extra))
         next_id += extra
         chain = [u] + new_vs + [v]
-        chain_edges = list(zip(chain[:-1], chain[1:]))
-        flags = [True] * len(chain_edges)
-        if not in_tree:
-            # keep exactly one deleted edge, anchored at the root when the
-            # piece touches it (the root keeps tree degree 1), else at its
-            # lower end (new ids are larger, so the original one if present)
-            anchor = g.root if g.root in (u, v) else min(u, v)
-            for i, e in enumerate(chain_edges):
-                if anchor in e:
-                    flags[i] = False
-                    break
-        records[idx] = [chain_edges[0][0], chain_edges[0][1], flags[0]]
-        for e, f in zip(chain_edges[1:], flags[1:]):
-            records.append([e[0], e[1], f])
+        anchor = g.root if g.root in (u, v) else min(u, v)
+        cut = None if in_tree else (0 if anchor == u else extra)
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            table[_norm_edge(a, b)] = (a, b, i != cut)
         if rotation is not None:
             def patch(vertex, old, new):
                 rotation[vertex] = tuple(new if x == old else x for x in rotation[vertex])
@@ -363,32 +347,29 @@ def subdivide_for(g: Graph, n: int) -> Graph:
                 rotation[w] = (chain[i], chain[i + 2])
 
     def pad(pairs: list[Edge], total: int):
-        """Spread `total` new vertices over the records of the edge pairs,
-        earlier edges taking the remainder."""
-        rec_of_pair = {_norm_edge(r[0], r[1]): i for i, r in enumerate(records)}
+        """Spread `total` new vertices over the edges of the pairs, earlier
+        edges taking the remainder."""
         base, extra = divmod(total, len(pairs))
         for i, pair in enumerate(pairs):
-            subdivide_record(rec_of_pair[pair], base + (i < extra))
+            insert(*table.pop(pair), base + (i < extra))
 
     def current_graph() -> Graph:
-        vs = set(g.vertices) | {x for r in records for x in r[:2]}
-        edges = tuple(sorted(_norm_edge(r[0], r[1]) for r in records))
-        tree = frozenset(_norm_edge(r[0], r[1]) for r in records if r[2])
-        return Graph(tuple(sorted(vs)), edges, tree, g.root, None)
+        vs = set(g.vertices) | {x for u, v, _ in table.values() for x in (u, v)}
+        tree = frozenset(pair for pair, (_, _, is_tree) in table.items() if is_tree)
+        return Graph(tuple(sorted(vs)), tuple(sorted(table)), tree, g.root, None)
 
-    # simplicity pass: the complex needs a simple graph, so open loops into
-    # triangles and split parallel copies.  From here on edge pairs identify
-    # records uniquely.
-    seen_pairs: set[Edge] = set()
-    for idx in range(len(records)):
-        u, v = records[idx][0], records[idx][1]
-        pair = _norm_edge(u, v)
-        if u == v:
-            subdivide_record(idx, 2)
-        elif pair in seen_pairs:
-            subdivide_record(idx, 1)
+    # the complex needs a simple graph: a loop opens into a triangle and a
+    # later parallel copy takes one new vertex, so edge pairs name edges.
+    # Loops are never tree edges (parse_graph), and of parallel copies only
+    # the first can be.
+    for a, b in g.edges:
+        pair = _norm_edge(a, b)
+        if a == b:
+            insert(a, b, False, 2)
+        elif pair in table:
+            insert(a, b, False, 1)
         else:
-            seen_pairs.add(pair)
+            insert(a, b, pair in g.tree_edges, 0)
 
     # condition 1: pad short segments between distinct essential vertices
     cur = current_graph()
