@@ -127,7 +127,8 @@ def _ids(item: dict, index: int, field: Field):
 
 def read_loops(data, path) -> list:
     """The loop specs of a loops file's JSON value `data`, read from `path`.
-    An entry's "type" is its family's kind, its other keys the spec's fields."""
+    An entry's "type" is its family's kind, its other keys the spec's fields;
+    a key that is no field is refused."""
     loops = data.get("loops", []) if isinstance(data, dict) else None
     if not isinstance(loops, list):
         raise ValidationError(f"loops file {path} is not an object with a 'loops' list")
@@ -137,7 +138,12 @@ def read_loops(data, path) -> list:
             raise ValidationError(f"loop {index} is not an object: {item!r}")
         family = next((f for f in (YLoopSpec, OLoopSpec) if f.kind == item.get("type")), None)
         if family is None:
-            raise ValidationError(f"unknown loop type {item.get('type')!r}")
+            raise ValidationError(f"loop {index}: unknown loop type {item.get('type')!r}")
+        names = [f.name for f in fields(family)]
+        unknown = [key for key in item if key != "type" and key not in names]
+        if unknown:
+            raise ValidationError(f"loop {index} ({family.kind}) has unknown key {unknown[0]!r}; "
+                                  f"its fields are {', '.join(map(repr, names))}")
         missing = [f.name for f in fields(family) if f.default is MISSING and f.name not in item]
         if missing:
             raise ValidationError(f"loop {index} ({family.kind}) has no {missing[0]!r}")
@@ -239,7 +245,8 @@ def solve_physical_presentation(cx: CubeComplex, minimized: TietzeResult,
             raise ValidationError(f"{spec.name}: {family} exchanges two particles; there is {cx.n}")
         if len(spec.spectators) != need:
             raise ValidationError(f"{spec.name}: {family} for {cx.n} particle{'s' * (cx.n != 1)} "
-                                  f"takes {need} spectators, got {len(spec.spectators)}")
+                                  f"takes {need} spectator{'s' * (need != 1)}, "
+                                  f"got {len(spec.spectators)}")
         strays = [v for v in spec.spectators if not 1 <= v <= og.n]
         if strays:
             raise ValidationError(f"{spec.name}: spectators {strays} are not vertices")

@@ -62,7 +62,8 @@ def _matching_counts(og, top):
     (complete_bipartite_33(), 3, [1, 13, 19, 2], 5),
     (graph("y"), 6, None, -14),
     (graph("theta"), 4, None, -1),
-])
+], ids=["g0-4-per_dim0-70", "g1-5-per_dim1-12", "g2-3-per_dim2-5", "g3-6-None--14",
+        "g4-4-None--1"])
 def test_critical_cells_give_euler_characteristic(g, n, per_dim, chi):
     # Forman: the alternating count of critical cells is the Euler
     # characteristic of the complex, whose d-cells are a d-edge matching

@@ -136,7 +136,12 @@ def test_subdivide_triangle_for_1100_particles(tmp_path, capsys):
      "  N  #gen  #rel  #new  lift  #min  H1\n"
      "  1     1     0     -     -     1  Z\n"
      "  2     2     0     0    ok     2  Z^2\n"),
-])
+], ids=[  # the ids pytest once gave by position; pytest escapes the newlines
+    "command0-no rotation given; defaulting to ascending neighbor ids "
+    "(results depend on the embedding)-Z\n",
+    "command1-graph is not 2-connected; generator counts need not stabilize-"
+    "  N  #gen  #rel  #new  lift  #min  H1\n  1     1     0     -     -     1  Z\n"
+    "  2     2     0     0    ok     2  Z^2\n"])
 def test_warning_prints_as_one_line(tmp_path, command, warning, stdout):
     triangle = tmp_path / "triangle.json"
     triangle.write_text(json.dumps({"vertices": [1, 2, 3], "edges": [[1, 2], [2, 3], [1, 3]],
@@ -335,6 +340,21 @@ def test_loop_without_required_key_exit_2(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("n, cycle, spectator", [
+    (1, [1, 2, 3, 4, 5, 6, 7, 8], 9),
+    (2, [5, 6, 7, 8, 1, 11, 10, 9], 2),
+], ids=["n1", "n2"])
+def test_unknown_loop_key_exit_2(tmp_path, capsys, n, cycle, spectator):
+    # a misspelt key is refused by name, not dropped: dropped, the loop would
+    # lack its spectator at n = 2 and be read without it at n = 1
+    loops = tmp_path / "loops.json"
+    loops.write_text(json.dumps({"loops": [
+        {"type": "O", "cycle": cycle, "spectator": [spectator]}]}))
+    assert main(["physical", THETA, "-n", str(n), "--loops", str(loops)]) == 2
+    assert ("loop 0 (O) has unknown key 'spectator'; its fields are 'cycle', 'spectators'"
+            in capsys.readouterr().err)
+
+
 THETA_GRAPH = json.loads(Path(THETA).read_text())
 LOOPS4 = {"loops": [
     {"type": "Y", "k": 4, "m": 6, "n": 9, "spectators": [1, 2]},
@@ -435,6 +455,9 @@ LOOPS4 = {"loops": [
     # a loop's optional fields are read before its required ones
     ("physical", {"loops": [{"type": "Y", "k": "x", "m": 6, "n": 9, "spectators": "y"}]},
      "loop 0 (Y) has 'spectators' = 'y'"),
+    # an unknown loop type names its entry
+    ("physical", {"loops": [{"type": "Y", "k": 4, "m": 6, "n": 9}, {"type": "X"}]},
+     "loop 1: unknown loop type 'X'"),
 ], ids=[  # fixed, as in test_solver_options_exit_2: the ids pytest once gave by position
     "physical-data0-not an object with a 'loops' list",
     "physical-data1-loop 0 is not an object",
@@ -467,7 +490,7 @@ LOOPS4 = {"loops": [
     "h1-data40-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got list",
     "h1-x-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got str",
     "h1-None-expected a JSON object with 'vertices', 'edges' and 'tree_edges', got NoneType",
-    "physical-spectators-before-k"])
+    "physical-spectators-before-k", "physical-unknown-type-names-its-entry"])
 def test_malformed_input_file_exit_2(tmp_path, capsys, command, data, culprit):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -524,7 +547,8 @@ def _out_of_memory(*args, **kwargs):
      "out of memory in rep-solve -k 100000"),
     ("braidforge.cli.morse_presentation", ["present", THETA, "-n", "3"],
      "out of memory in present -n 3"),
-])
+], ids=["braidforge.reps.haar_unitary-argv0-out of memory in rep-solve -k 100000",
+        "braidforge.cli.morse_presentation-argv1-out of memory in present -n 3"])
 def test_out_of_memory_exits_3_naming_the_command(tmp_path, capsys, monkeypatch,
                                                   target, argv, named):
     # the patched call raises at once, so nothing large is allocated

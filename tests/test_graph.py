@@ -153,7 +153,7 @@ def test_order_rejects_multigraph():
     # the star K1,3 rooted at its centre
     (bf.Graph((1, 2, 3, 4), ((1, 2), (1, 3), (1, 4)),
               frozenset({(1, 2), (1, 3), (1, 4)}), 1), "2, 3, 4"),
-])
+], ids=["g0-1, 3", "g1-2, 3, 4"])
 def test_order_rejects_root_that_is_not_a_leaf(g, children):
     # built with the dataclass, not parse_graph; the subdivision check passes
     # them at n = 1, so ordering is what refuses them

@@ -247,11 +247,18 @@ def test_solve_physical_refuses_y_loop_at_one_particle():
 
 def test_solve_physical_count_message_names_the_family():
     # the spectator count is worded from the loop's family and agrees in
-    # number: an O loop, 1 particle
-    with pytest.raises(ValidationError) as exc:
-        bf.solve_physical_presentation(complex_for("theta", 1), minimized("theta", 1),
-                                       [bf.OLoopSpec(U8, (9,))], morse("theta", 1))
-    assert str(exc.value) == "O(1-2-3-4-5-6-7-8;9): an O loop for 1 particle takes 0 spectators, got 1"
+    # number: an O loop, 1 particle, 1 spectator
+    for n, spec, message in [
+            (1, bf.OLoopSpec(U8, (9,)),
+             "O(1-2-3-4-5-6-7-8;9): an O loop for 1 particle takes 0 spectators, got 1"),
+            (2, bf.OLoopSpec(U8),
+             "O(1-2-3-4-5-6-7-8;): an O loop for 2 particles takes 1 spectator, got 0"),
+            (3, bf.YLoopSpec(4, 6, 9),
+             "Y(4,6,9;): a Y loop for 3 particles takes 1 spectator, got 0")]:
+        with pytest.raises(ValidationError) as exc:
+            bf.solve_physical_presentation(complex_for("theta", n), minimized("theta", n),
+                                           [spec], morse("theta", n))
+        assert str(exc.value) == message
 
 
 def test_solve_physical_unsolvable_reports_and_suggests():

@@ -309,7 +309,8 @@ def test_cyclic_matching_raises_naming_the_cell():
      "1159e516398255375cf5b21036d32d7366faf9feeefdd653750d5b8eeaa0cd9b"),
     ("K4", complete_graph(4), 4,
      "115c49b33ef321b2a3eb0b25f8c664a89bbf460430e10f3a41b32f5b55ccdb9e"),
-])
+], ids=["K33-graph0-3-1159e516398255375cf5b21036d32d7366faf9feeefdd653750d5b8eeaa0cd9b",
+        "K4-graph1-4-115c49b33ef321b2a3eb0b25f8c664a89bbf460430e10f3a41b32f5b55ccdb9e"])
 def test_morse_presentation_digest(name, graph, n, digest):
     # pins generators and relators letter for letter
     mp = bf.morse_presentation(
