@@ -53,3 +53,10 @@ def test_rung_table():
         "check theta n=400", "check cycle n=1100", "morse K5 n=5", "morse K5 n=6",
         "oracle K5 n=4", "physical K4 n=5", "physical K5 n=4", "tietze theta n=5",
         "tietze K5 n=3", "tietze K4 n=4"]
+
+
+def test_check_rung_times_its_subdivision():
+    import braidforge as bf
+    record = bench.check_rung(bf, "theta", 400)
+    assert (record["vertices"], record["short_cycles"]) == (1196, 0)
+    assert record["subdivide_s"] > 0

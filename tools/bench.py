@@ -9,7 +9,8 @@ the checkout holding this script) for every workload in its BENCHMARK.json,
 once with --trace 0 and once with --trace 1, at seed 0 for 10 seconds each.
 Then it runs each rung of RUNGS, a size perfbench does not reach, against
 that checkout's src/ and tests/: `check_subdivision` on theta subdivided for
-n = 400 and on the 1,100-vertex cycle at n = 1,100; cold
+n = 400, with that `subdivide_for` call as `subdivide_s`, and on the
+1,100-vertex cycle at n = 1,100; cold
 `morse_presentation` on K5 n = 5 and 6; `skeleton_presentation` +
 `homology_h1` on K5 n = 4, beside the Morse H1; `solve_physical_presentation`
 on the test helper's loop system for K4 n = 5 and K5 n = 4; `tietze_minimize`
@@ -90,14 +91,15 @@ def _timed(fn, *args):
 
 
 def check_rung(bf, name, n):
+    subdivided = {}
     if name == "cycle":   # n vertices, so its one cycle is short for n
         g = bf.parse_graph({"vertices": list(range(1, n + 1)),
                             "edges": [[v, v % n + 1] for v in range(1, n + 1)],
                             "tree_edges": [[v, v + 1] for v in range(1, n)], "root": 1})
     else:
-        g = bf.subdivide_for(_graph(name), n)
+        g, subdivided["subdivide_s"] = _timed(bf.subdivide_for, _graph(name), n)
     report, wall = _timed(bf.check_subdivision, g, n)
-    return {"wall_s": wall, "vertices": len(g.vertices),
+    return {"wall_s": wall, **subdivided, "vertices": len(g.vertices),
             "short_cycles": len(report.cycle_violations)}
 
 
